@@ -22,8 +22,8 @@
 //
 // The per-epoch CSVs are deterministic (byte-identical across --threads and
 // --obs, enforced by tests/serve/serve_test.cpp); BENCH_serving.json holds
-// the timing/memory numbers and is what tools/check_bench_regression.py
-// --serving gates in CI.
+// the timing/memory numbers and is what tools/check_perf.py
+// --serving-current gates in CI.
 //
 // Knobs: --sessions N (single scale instead of the sweep), --epochs N,
 // --arrival-rate R (per site per epoch; overrides the 1% default),
@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   // BENCH_serving.json: the committed throughput/memory baseline the CI
-  // serving gate (tools/check_bench_regression.py --serving) compares
+  // serving gate (tools/check_perf.py --serving-current) compares
   // fresh runs against.
   obs::JsonWriter w;
   w.begin_object();

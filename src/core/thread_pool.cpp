@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <memory>
 
 #include "obs/clock.h"
@@ -15,7 +16,7 @@ namespace {
 
 /// Pool utilization telemetry (ROADMAP: the evidence for the multi-core
 /// re-measure item). busy/idle are wall-microsecond integrals per worker;
-/// tasks counts queue claims, not parallel_for iterations.
+/// tasks counts queue claims (helper drains), not run() iterations.
 struct PoolMetrics {
   obs::Counter tasks;
   obs::Counter busy_us;
@@ -38,11 +39,11 @@ index_t resolve_thread_count(index_t requested) {
   return hw > 0 ? static_cast<index_t>(hw) : index_t{1};
 }
 
-ThreadPool::ThreadPool(index_t thread_count) {
-  const index_t n = resolve_thread_count(thread_count);
-  workers_.reserve(n);
-  for (index_t i = 0; i < n; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i + 1); });
+ThreadPool::ThreadPool(index_t thread_count)
+    : thread_count_(resolve_thread_count(thread_count)) {
+  workers_.reserve(thread_count_ - 1);
+  for (index_t i = 1; i < thread_count_; ++i)
+    workers_.emplace_back([this, i] { worker_loop(i); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -51,11 +52,10 @@ ThreadPool::~ThreadPool() {
     stopping_ = true;
   }
   work_available_.notify_all();
-  // std::jthread joins on destruction; workers drain the queue first.
+  // std::jthread joins on destruction.
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  MMW_REQUIRE(task != nullptr);
   {
     std::lock_guard lock(mutex_);
     MMW_REQUIRE_MSG(!stopping_, "submit on a stopping ThreadPool");
@@ -86,108 +86,60 @@ void ThreadPool::worker_loop(index_t ordinal) {
       m.tasks.add();
       m.idle_us.add(run_start - wait_start);
     }
-    try {
+    {
       MMW_TRACE_SCOPE("core.pool.task", "pool");
-      task();
-    } catch (...) {
-      // submit() is fire-and-forget; parallel_for captures its own errors.
+      task();  // a run() drain: captures its iterations' errors itself
     }
-    heartbeat_.fetch_add(1, std::memory_order_relaxed);
     if (timed) PoolMetrics::get().busy_us.add(obs::now_us() - run_start);
   }
 }
 
-void ThreadPool::parallel_for(index_t begin, index_t end,
-                              const std::function<void(index_t)>& body) {
-  MMW_REQUIRE(begin <= end);
-  if (begin == end) return;
+std::vector<IterationFailure> ThreadPool::run(
+    index_t n, const std::function<void(index_t)>& body, bool quarantine) {
+  if (n == 0) return {};
 
-  // Per-call shared state; heap-allocated so stray notify-side references
-  // stay valid even if the caller unwinds first (they cannot here — the
-  // caller blocks until pending hits 0 — but shared_ptr keeps the lambda
-  // copyable into N queue slots without lifetime reasoning).
+  // Per-call shared state; heap-allocated so the drain lambda stays
+  // copyable into the queue without lifetime reasoning (the caller blocks
+  // until pending hits 0, so it cannot unwind first).
   struct Sync {
-    std::atomic<index_t> next;
+    std::atomic<index_t> next{0};
     std::mutex m;
     std::condition_variable done;
-    index_t pending;
-    index_t error_index;
-    std::exception_ptr error;
+    index_t pending = 0;
+    std::vector<IterationFailure> failures;  ///< quarantine on
+    std::exception_ptr error;                ///< quarantine off
+    index_t error_index = 0;
   };
   auto sync = std::make_shared<Sync>();
-  sync->next.store(begin, std::memory_order_relaxed);
-  sync->error_index = end;  // sentinel: no failure recorded
-
-  const index_t tasks = std::min<index_t>(thread_count(), end - begin);
+  const index_t tasks = std::min(thread_count_, n);
   sync->pending = tasks;
 
-  auto drain = [this, sync, end, &body] {
-    // Claim indices until the range is exhausted or an error was recorded.
-    for (;;) {
-      const index_t i = sync->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= end) break;
-      try {
-        body(i);
-      } catch (...) {
-        // Keep the LOWEST failing index: claims are monotone, so every
-        // index below the first failure is already claimed and runs to
-        // completion — the min-reduction is timing-independent (see the
-        // header's failure-semantics contract).
-        std::lock_guard lock(sync->m);
-        if (!sync->error || i < sync->error_index) {
-          sync->error = std::current_exception();
-          sync->error_index = i;
-        }
-        sync->next.store(end, std::memory_order_relaxed);  // cancel the rest
-      }
-      heartbeat_.fetch_add(1, std::memory_order_relaxed);
-    }
+  // Called from inside a catch handler (std::current_exception is live).
+  const auto fail = [sync, n, quarantine](index_t i, const char* what) {
     std::lock_guard lock(sync->m);
-    if (--sync->pending == 0) sync->done.notify_all();
+    if (quarantine) {
+      sync->failures.push_back({i, what});
+      return;
+    }
+    // Keep the LOWEST failing index: claims are monotone, so every index
+    // below the first failure is already claimed and runs to completion —
+    // the min-reduction is timing-independent (see the header contract).
+    if (!sync->error || i < sync->error_index) {
+      sync->error = std::current_exception();
+      sync->error_index = i;
+    }
+    sync->next.store(n, std::memory_order_relaxed);  // cancel the rest
   };
-
-  // The calling thread is a worker too: queue tasks-1 helpers, run one
-  // drain inline. With a single-thread pool this degenerates to a plain
-  // serial loop on the caller (helpers find the range already exhausted).
-  for (index_t i = 1; i < tasks; ++i) submit(drain);
-  drain();
-
-  std::unique_lock lock(sync->m);
-  sync->done.wait(lock, [&] { return sync->pending == 0; });
-  if (sync->error) std::rethrow_exception(sync->error);
-}
-
-std::vector<IterationFailure> ThreadPool::parallel_for_quarantined(
-    index_t begin, index_t end, const std::function<void(index_t)>& body) {
-  MMW_REQUIRE(begin <= end);
-  if (begin == end) return {};
-
-  struct Sync {
-    std::atomic<index_t> next;
-    std::mutex m;
-    std::condition_variable done;
-    index_t pending;
-    std::vector<IterationFailure> failures;
-  };
-  auto sync = std::make_shared<Sync>();
-  sync->next.store(begin, std::memory_order_relaxed);
-
-  const index_t tasks = std::min<index_t>(thread_count(), end - begin);
-  sync->pending = tasks;
-
-  auto drain = [this, sync, end, &body] {
-    // Claim indices until the range is exhausted; failures never cancel.
+  const auto drain = [this, sync, n, &body, &fail] {
     for (;;) {
       const index_t i = sync->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= end) break;
+      if (i >= n) break;
       try {
         body(i);
       } catch (const std::exception& e) {
-        std::lock_guard lock(sync->m);
-        sync->failures.push_back({i, e.what()});
+        fail(i, e.what());
       } catch (...) {
-        std::lock_guard lock(sync->m);
-        sync->failures.push_back({i, "unknown exception"});
+        fail(i, "unknown exception");
       }
       heartbeat_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -195,11 +147,21 @@ std::vector<IterationFailure> ThreadPool::parallel_for_quarantined(
     if (--sync->pending == 0) sync->done.notify_all();
   };
 
-  for (index_t i = 1; i < tasks; ++i) submit(drain);
+  // The calling thread is one of the drainers: queue tasks − 1 helpers and
+  // run one drain inline (no helper at all on a one-thread pool).
+  for (index_t t = 1; t < tasks; ++t) submit(drain);
   drain();
+  std::exception_ptr error;
+  {
+    std::unique_lock lock(sync->m);
+    sync->done.wait(lock, [&] { return sync->pending == 0; });
+    // Move the error out: a worker may still hold the last reference to
+    // `sync`, and the exception must not be freed on that thread while
+    // the caller is handling it.
+    error = std::move(sync->error);
+  }
+  if (error) std::rethrow_exception(error);
 
-  std::unique_lock lock(sync->m);
-  sync->done.wait(lock, [&] { return sync->pending == 0; });
   // Capture order is timing-dependent; the sorted list is not.
   std::sort(sync->failures.begin(), sync->failures.end(),
             [](const IterationFailure& a, const IterationFailure& b) {

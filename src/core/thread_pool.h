@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -31,84 +30,82 @@ namespace mmw::core {
 /// std::thread::hardware_concurrency(), clamped to at least 1.
 index_t resolve_thread_count(index_t requested);
 
-/// One captured iteration failure of parallel_for_quarantined.
+/// One captured iteration failure of a quarantined ThreadPool::run.
 struct IterationFailure {
   index_t index = 0;     ///< the iteration that threw
   std::string message;   ///< what() of the thrown exception
 };
 
-/// Fixed-size thread pool. Threads are started in the constructor and
-/// joined in the destructor; there is no dynamic resizing.
+/// Fixed-size thread pool — the repo's one dispatch primitive. A pool of n
+/// threads starts n − 1 workers in the constructor and joins them in the
+/// destructor; the thread calling run() is the n-th, so a pool of ≤ 1
+/// thread starts no worker and run() is a plain loop on the caller.
 ///
-/// Thread-safety: submit() and parallel_for() may be called from any
-/// thread, including concurrently. Tasks must not themselves call
-/// parallel_for() on the same pool (no nested parallelism — a task waiting
-/// on the pool it runs in would deadlock).
+/// Thread-safety: run() may be called from any thread, including
+/// concurrently. Iteration bodies must not call run() on the same pool (no
+/// nested parallelism — a body waiting on the pool it runs in would
+/// deadlock).
 class ThreadPool {
  public:
-  /// Starts `thread_count` workers; 0 means resolve_thread_count(0)
-  /// (hardware concurrency).
+  /// Sizes the pool to `thread_count` threads, caller included; 0 means
+  /// resolve_thread_count(0) (hardware concurrency).
   explicit ThreadPool(index_t thread_count = 0);
 
-  /// Drains nothing: tasks still queued are executed before shutdown
-  /// completes (the destructor signals stop and joins all workers).
+  /// Signals stop and joins all workers (run() never returns with work
+  /// still queued, so there is nothing left to drain).
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  index_t thread_count() const { return workers_.size(); }
+  index_t thread_count() const { return thread_count_; }
 
-  /// Enqueues a fire-and-forget task. Exceptions escaping `task` are
-  /// swallowed by the worker (use parallel_for when you need propagation).
-  void submit(std::function<void()> task);
-
-  /// Runs body(i) for every i in [begin, end) across the pool and blocks
-  /// until all iterations finished. Iterations are claimed dynamically, so
-  /// execution order is unspecified; side effects must go to per-index
-  /// storage. An empty range returns immediately without touching the
-  /// queue.
+  /// Runs body(i) for every i in [0, n) and blocks until all iterations
+  /// finished. Iterations are claimed dynamically from one ascending
+  /// counter, so execution order is unspecified; side effects must go to
+  /// per-index storage. n = 0 returns immediately.
   ///
-  /// Failure semantics: the exception rethrown on the calling thread is
-  /// DETERMINISTICALLY the one from the lowest-index failing iteration, so
-  /// failure reports are thread-count invariant. Why this holds: indices
-  /// are claimed in ascending order from one atomic counter, so by the
-  /// time any iteration g fails, every index below g has already been
-  /// claimed and will run to completion before the call returns — the
-  /// lowest failing index is therefore always among the iterations that
-  /// ran, and a min-index reduction over recorded failures picks it
-  /// regardless of timing. The first failure still cancels all
-  /// *unclaimed* iterations (they are above every claimed index, hence
-  /// above the minimum, and cannot affect it).
-  void parallel_for(index_t begin, index_t end,
-                    const std::function<void(index_t)>& body);
+  /// Failure contract — the same at every thread count, inline included:
+  ///  - quarantine off: the exception rethrown on the calling thread is
+  ///    DETERMINISTICALLY the one from the lowest-index failing iteration.
+  ///    Why this holds: by the time any iteration g fails, every index
+  ///    below g has already been claimed and runs to completion before the
+  ///    call returns, so the lowest failing index is always among the
+  ///    iterations that ran and a min-index reduction picks it regardless
+  ///    of timing. The first failure still cancels every UNCLAIMED
+  ///    iteration (all above the minimum, so they cannot affect it).
+  ///    Returns empty.
+  ///  - quarantine on: every iteration runs regardless of other
+  ///    iterations' failures; a throwing iteration is captured — never
+  ///    rethrown — and returned sorted by index. The failure set is a pure
+  ///    function of `body`, which is what lets the Monte-Carlo drivers
+  ///    exclude poisoned trials identically at any thread count (DESIGN.md
+  ///    §11). A run with failures dumps the flight recorder once when obs
+  ///    is enabled.
+  std::vector<IterationFailure> run(index_t n,
+                                    const std::function<void(index_t)>& body,
+                                    bool quarantine = false);
 
-  /// Quarantine variant: every iteration runs regardless of other
-  /// iterations' failures; a throwing iteration is captured — never
-  /// rethrown — and reported in the returned list, sorted by index. The
-  /// set of failures is a pure function of `body` (no cancellation, no
-  /// timing dependence), which is what lets the Monte-Carlo drivers
-  /// exclude poisoned trials identically at any thread count
-  /// (DESIGN.md §11).
-  std::vector<IterationFailure> parallel_for_quarantined(
-      index_t begin, index_t end,
-      const std::function<void(index_t)>& body);
-
-  /// Monotone progress counter: bumped once per completed parallel_for /
-  /// parallel_for_quarantined iteration and per drained submit() task.
-  /// The obs::Watchdog reads this (plus the engine's own counters) to tell
-  /// "slow epoch" from "wedged pool" — any forward motion anywhere in the
-  /// pool resets the stall clock. Safe to read from any thread.
+  /// Monotone progress counter: bumped once per finished run() iteration,
+  /// failing ones included. The obs::Watchdog reads this (plus the
+  /// engine's own counters) to tell "slow epoch" from "wedged pool" — any
+  /// forward motion anywhere in the pool resets the stall clock. Safe to
+  /// read from any thread.
   std::uint64_t heartbeat() const {
     return heartbeat_.load(std::memory_order_relaxed);
   }
 
  private:
+  /// Enqueues one helper drain of run(); private because a pool without
+  /// workers would never execute it.
+  void submit(std::function<void()> task);
+
   /// `ordinal` is the 1-based worker index, reported to obs as the thread
   /// ordinal so metric shards and trace buffers merge in a stable order
   /// (the caller thread keeps ordinal 0).
   void worker_loop(index_t ordinal);
 
+  index_t thread_count_ = 1;
   std::mutex mutex_;
   std::condition_variable work_available_;
   std::deque<std::function<void()>> queue_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "estimation/covariance_ml.h"
 #include "linalg/functions.h"
 
 namespace mmw::estimation {
@@ -131,6 +132,24 @@ std::vector<BeamComponent> merge_beam_space(
               });
   }
   return merged;
+}
+
+WarmMlFold fold_warm_ml(std::span<const BeamComponent> prior,
+                        const FactoredHermitian& prior_q,
+                        std::span<const BeamMeasurement> measurements,
+                        real gamma, real forgetting,
+                        const antenna::Codebook& codebook,
+                        index_t max_components, std::span<real> scores) {
+  CovarianceMlOptions opts;
+  opts.gamma = gamma;
+  opts.max_iterations = 40;
+  opts.tolerance = 1e-4;
+  const CovarianceMlResult res = estimate_covariance_ml_warm(
+      codebook.codeword(0).size(), measurements, opts, prior_q);
+  const std::vector<BeamComponent> update =
+      compress_to_beam_space(res.q, codebook, max_components, scores);
+  return {merge_beam_space(prior, forgetting, update, max_components),
+          res.converged};
 }
 
 }  // namespace mmw::estimation

@@ -12,7 +12,7 @@
 // the session state that makes the fixed-memory budget of DESIGN.md §13
 // possible.
 //
-// The three operations here are the codec:
+// The three codec operations, plus the warm-ML fold built from them:
 //  - expand:   components → FactoredHermitian (orthonormalize the named
 //              codewords, accumulate the weighted outer products in the
 //              reduced basis) — what warm-starts an estimator or scores a
@@ -21,6 +21,9 @@
 //              scores, keep the top-k; exact for codeword-aligned rank-1).
 //  - merge:    exponential forgetting of a prior list into an update list
 //              (tracking across epochs).
+//  - fold_warm_ml: one alignment slot's warm-started ML update of a
+//              resident list (the serving engine's kWarmMl estimator and
+//              the warm-ML tracker share it).
 //
 // Determinism: every function is a pure function of its inputs; ranking
 // ties break toward the LOWEST codeword index (the repo-wide tie-break
@@ -32,6 +35,7 @@
 #include <vector>
 
 #include "antenna/codebook.h"
+#include "estimation/measurement_model.h"
 #include "linalg/factored.h"
 
 namespace mmw::estimation {
@@ -77,5 +81,27 @@ std::vector<BeamComponent> compress_to_beam_space(
 std::vector<BeamComponent> merge_beam_space(
     std::span<const BeamComponent> prior, real forgetting,
     std::span<const BeamComponent> update, index_t max_components);
+
+/// What fold_warm_ml returns.
+struct WarmMlFold {
+  std::vector<BeamComponent> components;  ///< the updated resident list
+  bool converged = false;  ///< the ML solve's label (observe only)
+};
+
+/// One warm-ML alignment slot: the regularized ML solve
+/// (estimate_covariance_ml_warm; 40 iterations, tolerance 1e-4, SNR
+/// `gamma`) over this slot's `measurements`, warm-started from `prior_q`,
+/// then compressed to at most `max_components` codewords and merged into
+/// `prior` with `forgetting` — the solve sees only this slot's
+/// measurements, so forgetting still blends across slots. `prior_q` must
+/// be expand_beam_space(prior, codebook): the caller has already expanded
+/// it to pick the slot's probes. `scores` is caller scratch sized to
+/// codebook.size().
+WarmMlFold fold_warm_ml(std::span<const BeamComponent> prior,
+                        const linalg::FactoredHermitian& prior_q,
+                        std::span<const BeamMeasurement> measurements,
+                        real gamma, real forgetting,
+                        const antenna::Codebook& codebook,
+                        index_t max_components, std::span<real> scores);
 
 }  // namespace mmw::estimation

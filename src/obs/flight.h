@@ -12,7 +12,7 @@
 // production runs that keep full instrumentation off. The cost is bounded
 // by the ring write (TLS lookup + uncontended mutex + slot store) and is
 // held under the same ≤3% budget as the disabled-obs path by
-// tools/check_obs_overhead.py (--flight-off A/B on BM_SlotCycle*).
+// tools/check_perf.py (--flight-off A/B on BM_SlotCycle*).
 // MMW_FLIGHT=off (read by obs::init_from_env) disarms it for bare runs.
 //
 // Dumps are capped (kMaxDumps per recorder) so a pathological run — every

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "estimation/beamspace.h"
-#include "estimation/covariance_ml.h"
 #include "linalg/kernels.h"
 #include "mac/probe.h"
 #include "obs/clock.h"
@@ -16,6 +15,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "randgen/keylanes.h"
+#include "track/policy.h"
 
 namespace mmw::serve {
 
@@ -47,9 +47,6 @@ randgen::Rng churn_stream(std::uint64_t seed, index_t site, index_t epoch) {
   return randgen::Rng::stream(seed, randgen::lanes::serve_churn_lane(site),
                               0, static_cast<std::uint64_t>(epoch));
 }
-
-/// Window growth per re-alignment slot of the kNeighborhood probe policy.
-constexpr index_t kRealignWidenRadius = 2;
 
 /// serve.* telemetry, published once per tick from the MERGED frame on the
 /// calling thread — recording never happens inside shards, so obs on/off
@@ -135,7 +132,8 @@ struct ServingEngine::Workspace {
 ServingEngine::ServingEngine(ServeConfig config)
     : config_(std::move(config)),
       topology_(sim::Topology::build(config_.topology)),
-      codebooks_(sim::make_scenario_codebooks(config_.scenario)) {
+      codebooks_(sim::make_scenario_codebooks(config_.scenario)),
+      pool_(config_.scenario.threads) {
   MMW_REQUIRE_MSG(config_.scenario.gamma > 0.0, "gamma must be positive");
   MMW_REQUIRE_MSG(config_.align_epochs >= 1,
                   "need at least one alignment slot");
@@ -166,9 +164,6 @@ ServingEngine::ServingEngine(ServeConfig config)
   for (index_t s = 0; s < sites; ++s)
     pools_.emplace_back(config_.session_block);
   next_user_key_.assign(sites, 0);
-  threads_ = core::resolve_thread_count(config_.scenario.threads);
-  if (threads_ > 1)
-    thread_pool_ = std::make_unique<core::ThreadPool>(threads_);
 
   if (!config_.telemetry.ndjson_path.empty())
     sink_.open(config_.telemetry.ndjson_path);
@@ -184,9 +179,8 @@ ServingEngine::ServingEngine(ServeConfig config)
     watchdog_ = std::make_unique<obs::Watchdog>(
         wc,
         [this] {
-          std::uint64_t p = progress_.load(std::memory_order_relaxed);
-          if (thread_pool_) p += thread_pool_->heartbeat();
-          return p;
+          return progress_.load(std::memory_order_relaxed) +
+                 pool_.heartbeat();
         },
         [this] {
           return std::vector<std::pair<std::string, double>>{
@@ -339,65 +333,28 @@ void ServingEngine::step_align(index_t site, UserSession& s,
   // beam (user_key + k) mod M, so align_epochs ≥ M covers the whole TX
   // codebook and the per-session offset spreads concurrent aligners evenly
   // over it. The RX probe set is the top-(J−1) codewords of the resident
-  // covariance (the paper's covariance-directed measurement) with the
-  // remainder drawn uniformly for exploration; a fresh session (rank 0)
-  // probes all-random.
+  // covariance (the paper's covariance-directed measurement) topped up by
+  // the cursor sweep: s.cursor counts probes spent, so consecutive slots
+  // continue where the last stopped (the key offset decorrelates sessions)
+  // and a fresh session (rank 0) covers all N beams in ⌈N/J⌉ slots. The
+  // prior is expanded once and reused by the warm-ML fold below.
   const index_t tx = static_cast<index_t>(
       (s.user_key + s.slots_aligned) % static_cast<std::uint64_t>(n_tx));
+  ws.prior.clear();
+  for (index_t i = 0; i < s.rank; ++i)
+    ws.prior.push_back({static_cast<index_t>(s.comp_beam[i]),
+                        static_cast<real>(s.comp_weight[i])});
+  const linalg::FactoredHermitian prior_q =
+      estimation::expand_beam_space(ws.prior, codebooks_.rx);
+  if (ws.scores.size() != n_rx) ws.scores.assign(n_rx, 0.0);
   ws.probe_rx.clear();
-  if (s.rank > 0) {
-    ws.prior.clear();
-    for (index_t i = 0; i < s.rank; ++i)
-      ws.prior.push_back({static_cast<index_t>(s.comp_beam[i]),
-                          static_cast<real>(s.comp_weight[i])});
-    const linalg::FactoredHermitian q =
-        estimation::expand_beam_space(ws.prior, codebooks_.rx);
-    if (!q.empty()) {
-      if (ws.scores.size() != n_rx) ws.scores.assign(n_rx, 0.0);
-      codebooks_.rx.covariance_scores_into(q, ws.scores);
-      const index_t top = j > 1 ? j - 1 : 1;  // j > 1 keeps one explore slot
-      for (index_t pick = 0; pick < top; ++pick) {
-        index_t best = n_rx;
-        real best_score = 0.0;
-        for (index_t v = 0; v < n_rx; ++v) {
-          if (!(ws.scores[v] > best_score)) continue;  // ties → lowest v
-          if (std::find(ws.probe_rx.begin(), ws.probe_rx.end(), v) !=
-              ws.probe_rx.end())
-            continue;
-          best = v;
-          best_score = ws.scores[v];
-        }
-        if (best == n_rx) break;  // covariance has no more positive mass
-        ws.probe_rx.push_back(best);
-      }
-    }
+  if (!prior_q.empty()) {
+    codebooks_.rx.covariance_scores_into(prior_q, ws.scores);
+    // j > 1 keeps one explore slot.
+    track::append_covariance_probes(ws.scores, j > 1 ? j - 1 : 1,
+                                    ws.probe_rx);
   }
-  // Exploration picks, by the configured probe policy (track/policy.h).
-  // The default cursor sweep (s.cursor counts probes spent, so consecutive
-  // slots continue where the last stopped; the key offset decorrelates
-  // sessions) never re-probes a beam before wrapping, so a fresh session
-  // covers all N beams in ⌈N/J⌉ slots — and is byte-identical to the
-  // pre-policy engine. A re-aligning session (realigns > 0) under
-  // kNeighborhood scans the widening window around its last claimed RX
-  // beam first — the PR-6 recovery shape — topping up from the cursor;
-  // kBanditUcb decorrelates exploration with the hash spread.
-  switch (config_.probe_policy) {
-    case track::ProbePolicy::kNeighborhood:
-      if (s.realigns > 0) {
-        const index_t radius =
-            (static_cast<index_t>(s.slots_aligned) + 1) * kRealignWidenRadius;
-        track::append_neighborhood_probes(s.rx_beam, radius, n_rx, j,
-                                          ws.probe_rx);
-      }
-      track::append_cursor_probes(s.user_key, s.cursor, n_rx, j, ws.probe_rx);
-      break;
-    case track::ProbePolicy::kBanditUcb:
-      track::append_spread_probes(s.user_key, s.cursor, n_rx, j, ws.probe_rx);
-      break;
-    case track::ProbePolicy::kCursorSweep:
-      track::append_cursor_probes(s.user_key, s.cursor, n_rx, j, ws.probe_rx);
-      break;
-  }
+  track::append_cursor_probes(s.user_key, s.cursor, n_rx, j, ws.probe_rx);
   // Canonical measurement order (ascending RX index): the probe loop's
   // draw sequence and the update list's order are both pinned by it.
   std::sort(ws.probe_rx.begin(), ws.probe_rx.end());
@@ -426,33 +383,17 @@ void ServingEngine::step_align(index_t site, UserSession& s,
   s.cursor += static_cast<std::uint32_t>(j);
 
   // Fold the slot's energies into the resident beam-space covariance.
-  ws.prior.clear();
-  for (index_t i = 0; i < s.rank; ++i)
-    ws.prior.push_back({static_cast<index_t>(s.comp_beam[i]),
-                        static_cast<real>(s.comp_weight[i])});
   std::vector<estimation::BeamComponent> merged;
   if (config_.estimator == EstimatorKind::kWarmMl) {
     ws.measurements.clear();
     for (index_t i = 0; i < ws.probe_rx.size(); ++i)
       ws.measurements.push_back(
           {codebooks_.rx.codeword(ws.probe_rx[i]), ws.probe_energy[i]});
-    estimation::CovarianceMlOptions opts;
-    opts.gamma = 1.0 / noise_var;
-    opts.max_iterations = 40;
-    opts.tolerance = 1e-4;
-    const linalg::FactoredHermitian prior =
-        estimation::expand_beam_space(ws.prior, codebooks_.rx);
-    const estimation::CovarianceMlResult res =
-        estimation::estimate_covariance_ml_warm(n_rx, ws.measurements, opts,
-                                                prior);
-    if (!res.converged) ++frame.nonconverged;  // ladder rung (observe only)
-    if (ws.scores.size() != n_rx) ws.scores.assign(n_rx, 0.0);
-    merged = estimation::compress_to_beam_space(res.q, codebooks_.rx,
-                                                kMaxComponents, ws.scores);
-    // Forgetting still applies across slots: ML re-solves from this slot's
-    // measurements, so blend like the moment path.
-    merged = estimation::merge_beam_space(ws.prior, config_.forgetting,
-                                          merged, kMaxComponents);
+    estimation::WarmMlFold fold = estimation::fold_warm_ml(
+        ws.prior, prior_q, ws.measurements, 1.0 / noise_var,
+        config_.forgetting, codebooks_.rx, kMaxComponents, ws.scores);
+    if (!fold.converged) ++frame.nonconverged;  // ladder rung (observe only)
+    merged = std::move(fold.components);
   } else {
     ws.update.clear();
     for (index_t i = 0; i < ws.probe_rx.size(); ++i) {
@@ -526,11 +467,7 @@ EpochReport ServingEngine::step_epoch() {
     churn_site(site, churn_frames[site]);
     progress_.fetch_add(1, std::memory_order_relaxed);
   };
-  if (thread_pool_ && sites > 1) {
-    thread_pool_->parallel_for(0, sites, churn_one);
-  } else {
-    for (index_t site = 0; site < sites; ++site) churn_one(site);
-  }
+  pool_.run(sites, churn_one);
 
   // Phase 2 — step every live session, sharded (site × slab).
   shards_.clear();
@@ -549,11 +486,7 @@ EpochReport ServingEngine::step_epoch() {
     step_shard(shards_[i].first, shards_[i].second, step_frames[i]);
     progress_.fetch_add(1, std::memory_order_relaxed);
   };
-  if (thread_pool_ && shards_.size() > 1) {
-    thread_pool_->parallel_for(0, shards_.size(), step_one);
-  } else {
-    for (index_t i = 0; i < shards_.size(); ++i) step_one(i);
-  }
+  pool_.run(shards_.size(), step_one);
   step_seconds_ += step_timer.seconds();
 
   // Reduce in flat shard order — parallel output == serial output.

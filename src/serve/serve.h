@@ -52,7 +52,6 @@
 #include "serve/slab.h"
 #include "sim/scenario.h"
 #include "sim/topology.h"
-#include "track/policy.h"
 
 namespace mmw::serve {
 
@@ -62,9 +61,9 @@ enum class EstimatorKind {
   /// Moment excess (energy − noise)₊ per probed beam, merged with
   /// exponential forgetting — allocation-light, the serving default.
   kBeamSpace,
-  /// Per-slot regularized ML solve warm-started from the resident prior
-  /// (estimation::estimate_covariance_ml_warm), compressed back to beam
-  /// space. The paper-faithful estimator; ~10× the alignment-slot cost.
+  /// Per-slot regularized ML solve warm-started from the resident prior,
+  /// compressed back to beam space (estimation::fold_warm_ml). The
+  /// paper-faithful estimator; ~10× the alignment-slot cost.
   kWarmMl,
 };
 
@@ -126,15 +125,6 @@ struct ServeConfig {
   real blockage_probability = 0.0;
 
   EstimatorKind estimator = EstimatorKind::kBeamSpace;
-
-  /// How alignment slots pick their exploration probes (track/policy.h).
-  /// The default cursor sweep is the legacy PR-9 behavior — every golden
-  /// E9 byte is unchanged unless a non-default policy is selected. The
-  /// non-default policies make re-aligning residents behave like the
-  /// corresponding trackers: kNeighborhood re-scans a widening window
-  /// around the last claimed RX beam, kBanditUcb spreads exploration
-  /// probes by hash instead of sequentially.
-  track::ProbePolicy probe_policy = track::ProbePolicy::kCursorSweep;
 
   /// Sessions per slab — the allocator grain AND the step-shard grain.
   index_t session_block = 4096;
@@ -252,8 +242,7 @@ class ServingEngine {
   std::vector<SessionPool> pools_;            ///< one per site
   std::vector<std::uint64_t> next_user_key_;  ///< per-site arrival ordinal
   index_t epoch_ = 0;
-  index_t threads_ = 1;
-  std::unique_ptr<core::ThreadPool> thread_pool_;  ///< null when serial
+  core::ThreadPool pool_;  ///< scenario.threads; inline at one thread
 
   std::uint64_t peak_live_ = 0;
   std::uint64_t sessions_stepped_ = 0;

@@ -23,18 +23,18 @@ index_t rate_to_budget(real rate, index_t total) {
   return std::max<index_t>(1, static_cast<index_t>(std::llround(rate * total)));
 }
 
-// Runs body(t) for every trial t, serially when the scenario asks for one
-// thread and across a pool otherwise. `body` must confine its side effects
-// to trial-t slots: results are reduced in trial-index order afterwards, so
-// the two paths are bit-identical — each trial draws from the shared-state-
-// free stream Rng::stream(seed, t), not from a sequentially forked root.
+// Runs body(t) for every trial t over a pool of scenario.threads (inline
+// at one thread). `body` must confine its side effects to trial-t slots:
+// results are reduced in trial-index order afterwards, so every thread
+// count is bit-identical — each trial draws from the shared-state-free
+// stream Rng::stream(seed, t), not from a sequentially forked root.
 //
 // Returns the ascending indices of quarantined trials: when the scenario
 // sets faults.quarantine_trials, a trial whose body throws is recorded here
 // instead of aborting the run, and the caller MUST exclude those slots from
 // its reduction (they may be partially written). Without the knob this
 // returns empty and the first failure propagates — deterministically the
-// lowest-index one (see core::ThreadPool::parallel_for).
+// lowest-index one (see core::ThreadPool::run).
 template <typename Body>
 std::vector<index_t> for_each_trial(const Scenario& scenario,
                                     const Body& body) {
@@ -47,32 +47,13 @@ std::vector<index_t> for_each_trial(const Scenario& scenario,
     if (obs::enabled()) trials_counter.add();
     body(t);
   };
-  const index_t threads =
-      std::min(core::resolve_thread_count(scenario.threads), scenario.trials);
+  core::ThreadPool pool(
+      std::min(core::resolve_thread_count(scenario.threads), scenario.trials));
   std::vector<index_t> quarantined;
-  if (!scenario.faults.quarantine_trials) {
-    if (threads <= 1) {
-      for (index_t t = 0; t < scenario.trials; ++t) run_trial(t);
-    } else {
-      core::ThreadPool pool(threads);
-      pool.parallel_for(0, scenario.trials, [&](index_t t) { run_trial(t); });
-    }
-    return quarantined;
-  }
-  if (threads <= 1) {
-    for (index_t t = 0; t < scenario.trials; ++t) {
-      try {
-        run_trial(t);
-      } catch (...) {  // parity with parallel_for_quarantined's net
-        quarantined.push_back(t);
-      }
-    }
-  } else {
-    core::ThreadPool pool(threads);
-    for (const core::IterationFailure& f : pool.parallel_for_quarantined(
-             0, scenario.trials, [&](index_t t) { run_trial(t); }))
-      quarantined.push_back(f.index);
-  }
+  for (const core::IterationFailure& f :
+       pool.run(scenario.trials, run_trial,
+                scenario.faults.quarantine_trials))
+    quarantined.push_back(f.index);
   if (!quarantined.empty()) {
     if (obs::enabled()) quarantined_counter.add(quarantined.size());
     std::cerr << "[sim] quarantined " << quarantined.size() << "/"

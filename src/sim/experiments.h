@@ -3,7 +3,7 @@
 //  - cost efficiency: required search rate vs target loss (Figs. 7 & 8).
 //
 // Both drivers spread trials over a core::ThreadPool sized by
-// Scenario::threads (0 = all cores, 1 = serial fallback with no pool).
+// Scenario::threads (0 = all cores, 1 = inline on the caller).
 // Determinism contract: trial t draws from randgen::Rng::stream(seed, t)
 // and per-trial results are reduced in trial-index order, so for a fixed
 // Scenario the results — down to render_csv bytes — are identical for any

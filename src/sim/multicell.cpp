@@ -256,30 +256,12 @@ MultiCellResult run_multicell(
     }
   };
 
-  const index_t threads =
-      std::min(core::resolve_thread_count(sc.threads), n_shards);
+  core::ThreadPool pool(
+      std::min(core::resolve_thread_count(sc.threads), n_shards));
   std::vector<index_t> quarantined;
-  if (!sc.faults.quarantine_trials) {
-    if (threads <= 1) {
-      for (index_t s = 0; s < n_shards; ++s) run_shard(s);
-    } else {
-      core::ThreadPool pool(threads);
-      pool.parallel_for(0, n_shards, [&](index_t s) { run_shard(s); });
-    }
-  } else if (threads <= 1) {
-    for (index_t s = 0; s < n_shards; ++s) {
-      try {
-        run_shard(s);
-      } catch (...) {  // parity with parallel_for_quarantined's net
-        quarantined.push_back(s);
-      }
-    }
-  } else {
-    core::ThreadPool pool(threads);
-    for (const core::IterationFailure& f : pool.parallel_for_quarantined(
-             0, n_shards, [&](index_t s) { run_shard(s); }))
-      quarantined.push_back(f.index);
-  }
+  for (const core::IterationFailure& f :
+       pool.run(n_shards, run_shard, sc.faults.quarantine_trials))
+    quarantined.push_back(f.index);
   if (!quarantined.empty()) {
     static const obs::Counter quarantined_counter =
         obs::Registry::global().counter("sim.multicell.shards_quarantined");

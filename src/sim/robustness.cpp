@@ -133,30 +133,12 @@ std::vector<FaultCaseResult> run_fault_robustness(
       }
     };
 
-    const index_t threads =
-        std::min(core::resolve_thread_count(sc.threads), sc.trials);
+    core::ThreadPool pool(
+        std::min(core::resolve_thread_count(sc.threads), sc.trials));
     std::vector<index_t> quarantined;
-    if (!fault_case.faults.quarantine_trials) {
-      if (threads <= 1) {
-        for (index_t t = 0; t < sc.trials; ++t) run_trial(t);
-      } else {
-        core::ThreadPool pool(threads);
-        pool.parallel_for(0, sc.trials, [&](index_t t) { run_trial(t); });
-      }
-    } else if (threads <= 1) {
-      for (index_t t = 0; t < sc.trials; ++t) {
-        try {
-          run_trial(t);
-        } catch (...) {  // parity with parallel_for_quarantined's net
-          quarantined.push_back(t);
-        }
-      }
-    } else {
-      core::ThreadPool pool(threads);
-      for (const core::IterationFailure& f : pool.parallel_for_quarantined(
-               0, sc.trials, [&](index_t t) { run_trial(t); }))
-        quarantined.push_back(f.index);
-    }
+    for (const core::IterationFailure& f :
+         pool.run(sc.trials, run_trial, fault_case.faults.quarantine_trials))
+      quarantined.push_back(f.index);
     if (!quarantined.empty()) {
       static const obs::Counter quarantined_counter =
           obs::Registry::global().counter("sim.trials.quarantined");

@@ -68,10 +68,10 @@ struct Scenario {
   std::uint64_t seed = 1;
   index_t trials = 20;
 
-  /// Worker threads the Monte-Carlo drivers spread trials over.
-  /// 0 = auto (std::thread::hardware_concurrency()); 1 = pure serial path
-  /// (no pool constructed). Any value yields identical results — this knob
-  /// only trades wall-clock for cores.
+  /// Threads the Monte-Carlo drivers spread trials over.
+  /// 0 = auto (std::thread::hardware_concurrency()); 1 = inline on the
+  /// caller (the pool starts no worker). Any value yields identical
+  /// results — this knob only trades wall-clock for cores.
   index_t threads = 0;
 
   /// Deterministic fault injection (DESIGN.md §11). Default-constructed =

@@ -173,14 +173,7 @@ TrackingResult run_tracking(const TrackingConfig& config,
     run_shard(config, topology, codebooks, evolution, kind, user,
               frames[shard]);
   };
-  const index_t threads =
-      core::resolve_thread_count(config.scenario.threads);
-  if (threads <= 1) {
-    for (index_t s = 0; s < n_shards; ++s) body(s);
-  } else {
-    core::ThreadPool pool(threads);
-    pool.parallel_for(0, n_shards, body);
-  }
+  core::ThreadPool(config.scenario.threads).run(n_shards, body);
 
   TrackingResult result;
   result.users = config.users;

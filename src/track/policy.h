@@ -3,49 +3,33 @@
 // no RNG, no hidden state — so a 96-byte resident UserSession (serve/) can
 // run the same selection logic as a heap-backed Tracker (track/tracker.h):
 // the session's cursor/beam fields ARE the tracker state.
+//
+// A covariance-directed alignment slot (the paper's measurement) picks its
+// J RX probes in two steps: append_covariance_probes takes the top J − 1
+// codewords of the prior covariance's Rayleigh scores, then
+// append_cursor_probes tops the set up with sequential exploration.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "linalg/common.h"
 
 namespace mmw::track {
 
-/// How serve::ServingEngine picks the exploration probes of an alignment
-/// slot (the covariance-directed exploit picks are policy-independent).
-enum class ProbePolicy {
-  /// Sequential cursor sweep over the RX codebook (the legacy PR-9
-  /// behavior; byte-identical CSVs to pre-tracking builds). Default.
-  kCursorSweep,
-  /// Re-aligning sessions scan a widening Chebyshev window around the last
-  /// claimed RX beam (the PR-6 recovery shape); fresh sessions fall back to
-  /// the cursor sweep.
-  kNeighborhood,
-  /// UCB-flavored selection: exploration probes jump pseudo-randomly
-  /// (hash-spread, not sequential) so repeated re-alignments of the same
-  /// session decorrelate — the serving-engine face of the bandit tracker.
-  kBanditUcb,
-};
+/// Covariance-directed candidates: appends, highest score first, up to
+/// `count` indices v of `scores` that are not already in `out`. Only
+/// positive scores qualify (zero, negative and NaN never do), so the picks
+/// stop early once the positive mass runs out; equal scores go to the
+/// lowest index.
+void append_covariance_probes(std::span<const real> scores, index_t count,
+                              std::vector<index_t>& out);
 
 /// Cursor-sweep candidates: appends probes (user_key + cursor + i) mod n_rx,
 /// skipping indices already in `out`, until out has `want` entries.
 /// Preconditions: want ≤ n_rx, n_rx ≥ 1.
 void append_cursor_probes(std::uint64_t user_key, std::uint64_t cursor,
-                          index_t n_rx, index_t want,
-                          std::vector<index_t>& out);
-
-/// Chebyshev-window candidates around `center` with wraparound: offsets
-/// 0, −1, +1, −2, +2, … up to ±radius, skipping duplicates, until `out`
-/// has `want` entries or the window is exhausted (callers top up with
-/// another selector). Preconditions: center < n_rx, n_rx ≥ 1.
-void append_neighborhood_probes(index_t center, index_t radius, index_t n_rx,
-                                index_t want, std::vector<index_t>& out);
-
-/// Hash-spread candidates: a SplitMix64 sequence seeded by (user_key,
-/// cursor) mapped onto [0, n_rx), skipping duplicates, until `out` has
-/// `want` entries. Deterministic for fixed inputs, decorrelated across
-/// cursor values. Preconditions: want ≤ n_rx, n_rx ≥ 1.
-void append_spread_probes(std::uint64_t user_key, std::uint64_t cursor,
                           index_t n_rx, index_t want,
                           std::vector<index_t>& out);
 

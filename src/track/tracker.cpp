@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "estimation/covariance_ml.h"
 #include "mac/probe.h"
 #include "track/policy.h"
 
@@ -187,7 +186,7 @@ class WarmMlTracker final : public Tracker {
   /// One covariance-directed re-alignment slot (the serving engine's
   /// alignment shape, warm-started from the resident prior): TX dwells on
   /// the last claimed beam then cycles, RX probes the prior's top scoring
-  /// codewords plus cursor exploration, energies feed the warm ML solve.
+  /// codewords plus cursor exploration, energies feed the warm-ML fold.
   index_t align_slot(const TrackerContext& ctx) {
     const index_t m = ctx.tx_codebook->size();
     const index_t n = ctx.rx_codebook->size();
@@ -196,29 +195,13 @@ class WarmMlTracker final : public Tracker {
     const index_t tx =
         static_cast<index_t>((state_.tx_beam + slots_) % m);
 
+    const linalg::FactoredHermitian prior_q =
+        estimation::expand_beam_space(state_.components, *ctx.rx_codebook);
+    if (scores_.size() != n) scores_.assign(n, 0.0);
     probe_rx_.clear();
-    if (!state_.components.empty()) {
-      const linalg::FactoredHermitian q =
-          estimation::expand_beam_space(state_.components, *ctx.rx_codebook);
-      if (!q.empty()) {
-        if (scores_.size() != n) scores_.assign(n, 0.0);
-        ctx.rx_codebook->covariance_scores_into(q, scores_);
-        const index_t top = j > 1 ? j - 1 : 1;
-        for (index_t pick = 0; pick < top; ++pick) {
-          index_t best = n;
-          real best_score = 0.0;
-          for (index_t v = 0; v < n; ++v) {
-            if (!(scores_[v] > best_score)) continue;  // ties → lowest v
-            if (std::find(probe_rx_.begin(), probe_rx_.end(), v) !=
-                probe_rx_.end())
-              continue;
-            best = v;
-            best_score = scores_[v];
-          }
-          if (best == n) break;
-          probe_rx_.push_back(best);
-        }
-      }
+    if (!prior_q.empty()) {
+      ctx.rx_codebook->covariance_scores_into(prior_q, scores_);
+      append_covariance_probes(scores_, j > 1 ? j - 1 : 1, probe_rx_);
     }
     append_cursor_probes(0, cursor_, n, j, probe_rx_);
     std::sort(probe_rx_.begin(), probe_rx_.end());
@@ -234,23 +217,12 @@ class WarmMlTracker final : public Tracker {
         phase_rx_ = rx;
       }
     }
-
-    estimation::CovarianceMlOptions opts;
-    opts.gamma = ctx.gamma;
-    opts.max_iterations = 40;
-    opts.tolerance = 1e-4;
-    const linalg::FactoredHermitian prior =
-        estimation::expand_beam_space(state_.components, *ctx.rx_codebook);
-    const estimation::CovarianceMlResult res =
-        estimation::estimate_covariance_ml_warm(n, measurements_, opts,
-                                                prior);
-    if (scores_.size() != n) scores_.assign(n, 0.0);
-    std::vector<estimation::BeamComponent> update =
-        estimation::compress_to_beam_space(res.q, *ctx.rx_codebook,
-                                           options_.max_components, scores_);
-    state_.components = estimation::merge_beam_space(
-        state_.components, options_.forgetting, update,
-        options_.max_components);
+    state_.components =
+        estimation::fold_warm_ml(state_.components, prior_q, measurements_,
+                                 ctx.gamma, options_.forgetting,
+                                 *ctx.rx_codebook, options_.max_components,
+                                 scores_)
+            .components;
 
     ++slots_;
     if (slots_ >= options_.align_slots && phase_energy_ > noise) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -31,7 +32,8 @@ TEST(ThreadPoolTest, ZeroTaskShutdown) {
 TEST(ThreadPoolTest, EmptyRangeReturnsImmediately) {
   ThreadPool pool(2);
   bool touched = false;
-  pool.parallel_for(5, 5, [&](index_t) { touched = true; });
+  EXPECT_TRUE(pool.run(0, [&](index_t) { touched = true; }).empty());
+  EXPECT_TRUE(pool.run(0, [&](index_t) { touched = true; }, true).empty());
   EXPECT_FALSE(touched);
 }
 
@@ -39,14 +41,15 @@ TEST(ThreadPoolTest, ParallelForCompletesEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   constexpr index_t kN = 1000;
   std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for(0, kN, [&](index_t i) { hits[i].fetch_add(1); });
+  pool.run(kN, [&](index_t i) { hits[i].fetch_add(1); });
   for (index_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(ThreadPoolTest, ParallelForRespectsBegin) {
+  // run(n) covers exactly [0, n); an offset range is the caller's shift.
   ThreadPool pool(2);
   std::vector<int> hits(10, 0);
-  pool.parallel_for(7, 10, [&](index_t i) { hits[i] = 1; });
+  pool.run(3, [&](index_t i) { hits[7 + i] = 1; });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 3);
   EXPECT_EQ(hits[7] + hits[8] + hits[9], 3);
 }
@@ -54,8 +57,7 @@ TEST(ThreadPoolTest, ParallelForRespectsBegin) {
 TEST(ThreadPoolTest, SingleThreadPoolStillCompletes) {
   ThreadPool pool(1);
   std::vector<int> out(64, 0);
-  pool.parallel_for(0, out.size(),
-                    [&](index_t i) { out[i] = static_cast<int>(i); });
+  pool.run(out.size(), [&](index_t i) { out[i] = static_cast<int>(i); });
   for (index_t i = 0; i < out.size(); ++i)
     EXPECT_EQ(out[i], static_cast<int>(i));
 }
@@ -63,14 +65,14 @@ TEST(ThreadPoolTest, SingleThreadPoolStillCompletes) {
 TEST(ThreadPoolTest, ExceptionPropagatesToCaller) {
   ThreadPool pool(4);
   EXPECT_THROW(
-      pool.parallel_for(0, 100,
-                        [&](index_t i) {
-                          if (i == 13) throw std::runtime_error("boom");
-                        }),
+      pool.run(100,
+               [&](index_t i) {
+                 if (i == 13) throw std::runtime_error("boom");
+               }),
       std::runtime_error);
-  // The pool survives a throwing parallel_for and accepts new work.
+  // The pool survives a throwing run and accepts new work.
   std::atomic<int> done{0};
-  pool.parallel_for(0, 8, [&](index_t) { done.fetch_add(1); });
+  pool.run(8, [&](index_t) { done.fetch_add(1); });
   EXPECT_EQ(done.load(), 8);
 }
 
@@ -80,7 +82,7 @@ TEST(ThreadPoolTest, LowestIndexFailureWinsDeterministically) {
   ThreadPool pool(8);
   for (int round = 0; round < 20; ++round) {
     try {
-      pool.parallel_for(0, 400, [&](index_t i) {
+      pool.run(400, [&](index_t i) {
         if (i % 7 == 3)  // 3, 10, 17, ... — lowest is 3
           throw std::runtime_error("fail@" + std::to_string(i));
       });
@@ -95,10 +97,14 @@ TEST(ThreadPoolTest, QuarantineCollectsEveryFailureSorted) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(100);
   const std::vector<IterationFailure> failures =
-      pool.parallel_for_quarantined(0, 100, [&](index_t i) {
-        hits[i].fetch_add(1);
-        if (i % 10 == 5) throw std::runtime_error("bad " + std::to_string(i));
-      });
+      pool.run(
+          100,
+          [&](index_t i) {
+            hits[i].fetch_add(1);
+            if (i % 10 == 5)
+              throw std::runtime_error("bad " + std::to_string(i));
+          },
+          true);
   // No cancellation: every index ran exactly once.
   for (index_t i = 0; i < 100; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
   ASSERT_EQ(failures.size(), 10u);
@@ -111,8 +117,8 @@ TEST(ThreadPoolTest, QuarantineCollectsEveryFailureSorted) {
 TEST(ThreadPoolTest, QuarantineEmptyWhenNothingThrows) {
   ThreadPool pool(2);
   std::atomic<int> done{0};
-  const auto failures = pool.parallel_for_quarantined(
-      0, 32, [&](index_t) { done.fetch_add(1); });
+  const auto failures =
+      pool.run(32, [&](index_t) { done.fetch_add(1); }, true);
   EXPECT_TRUE(failures.empty());
   EXPECT_EQ(done.load(), 32);
 }
@@ -121,31 +127,38 @@ TEST(ThreadPoolTest, SequentialParallelForsReuseTheSamePool) {
   ThreadPool pool(3);
   std::atomic<index_t> total{0};
   for (int round = 0; round < 10; ++round)
-    pool.parallel_for(0, 50, [&](index_t) { total.fetch_add(1); });
+    pool.run(50, [&](index_t) { total.fetch_add(1); });
   EXPECT_EQ(total.load(), 500u);
 }
 
 TEST(ThreadPoolTest, SubmitRunsTask) {
-  std::atomic<bool> ran{false};
-  {
-    ThreadPool pool(2);
-    pool.submit([&] { ran.store(true); });
-    // Destructor drains the queue before joining.
+  // submit() is private: a single-iteration run is the public way to hand
+  // one task to the pool, and it must run at every pool size (a one-thread
+  // pool has no worker that could pick a queued task up).
+  for (const index_t threads : {index_t{1}, index_t{2}}) {
+    std::atomic<bool> ran{false};
+    {
+      ThreadPool pool(threads);
+      pool.run(1, [&](index_t) { ran.store(true); });
+    }
+    EXPECT_TRUE(ran.load()) << threads;
   }
-  EXPECT_TRUE(ran.load());
 }
 
 TEST(ThreadPoolTest, HeartbeatAdvancesWithWork) {
   ThreadPool pool(3);
   const std::uint64_t before = pool.heartbeat();
-  pool.parallel_for(0, 100, [](index_t) {});
+  pool.run(100, [](index_t) {});
   const std::uint64_t after_for = pool.heartbeat();
   // One beat per completed iteration — the watchdog's liveness signal.
   EXPECT_GE(after_for, before + 100);
 
-  pool.parallel_for_quarantined(0, 50, [](index_t i) {
-    if (i % 2 == 0) throw std::runtime_error("boom");
-  });
+  pool.run(
+      50,
+      [](index_t i) {
+        if (i % 2 == 0) throw std::runtime_error("boom");
+      },
+      true);
   // Failing iterations still beat: a shard that throws is not a stall.
   EXPECT_GE(pool.heartbeat(), after_for + 50);
 }
@@ -154,10 +167,69 @@ TEST(ThreadPoolTest, HeartbeatIsMonotone) {
   ThreadPool pool(2);
   std::uint64_t last = pool.heartbeat();
   for (int round = 0; round < 5; ++round) {
-    pool.parallel_for(0, 20, [](index_t) {});
+    pool.run(20, [](index_t) {});
     const std::uint64_t now = pool.heartbeat();
     EXPECT_GE(now, last + 20);
     last = now;
+  }
+}
+
+TEST(ThreadPoolTest, RunFailureContractHoldsAtEveryThreadCount) {
+  // One table over threads × quarantine × failing set. Quarantined: every
+  // iteration runs once and the ascending failure list is the failing set
+  // at every thread count. Plain: the lowest failing index's exception is
+  // rethrown, after every index below it ran. Either way the heartbeat
+  // advances exactly once per executed iteration.
+  constexpr index_t kN = 10;
+  std::vector<index_t> all(kN);
+  std::iota(all.begin(), all.end(), index_t{0});
+  const std::vector<std::vector<index_t>> failing_sets{
+      {}, {3}, {0, 5, 7}, all};
+  for (const std::vector<index_t>& failing : failing_sets) {
+    for (const bool quarantine : {false, true}) {
+      for (const index_t threads : {index_t{1}, index_t{2}, index_t{4}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "threads=" << threads << " quarantine=" << quarantine
+                     << " failing=" << failing.size());
+        ThreadPool pool(threads);
+        std::vector<std::atomic<int>> hits(kN);
+        const auto body = [&](index_t i) {
+          hits[i].fetch_add(1);
+          if (std::find(failing.begin(), failing.end(), i) != failing.end())
+            throw std::runtime_error("fail@" + std::to_string(i));
+        };
+        const std::uint64_t before = pool.heartbeat();
+        std::vector<IterationFailure> failures;
+        std::string rethrown;
+        try {
+          failures = pool.run(kN, body, quarantine);
+        } catch (const std::runtime_error& e) {
+          rethrown = e.what();
+        }
+        std::uint64_t executed = 0;
+        for (const std::atomic<int>& h : hits) {
+          EXPECT_LE(h.load(), 1);
+          executed += static_cast<std::uint64_t>(h.load());
+        }
+        EXPECT_EQ(pool.heartbeat() - before, executed);
+
+        if (quarantine || failing.empty()) {
+          EXPECT_EQ(executed, kN);
+          EXPECT_EQ(rethrown, "");
+          ASSERT_EQ(failures.size(), quarantine ? failing.size() : 0u);
+          for (index_t k = 0; k < failures.size(); ++k) {
+            EXPECT_EQ(failures[k].index, failing[k]);
+            EXPECT_EQ(failures[k].message,
+                      "fail@" + std::to_string(failing[k]));
+          }
+        } else {
+          EXPECT_TRUE(failures.empty());
+          EXPECT_EQ(rethrown, "fail@" + std::to_string(failing.front()));
+          for (index_t i = 0; i < failing.front(); ++i)
+            EXPECT_EQ(hits[i].load(), 1) << i;
+        }
+      }
+    }
   }
 }
 
@@ -174,10 +246,13 @@ TEST(ThreadPoolTest, QuarantinedFailureDumpsFlightRecorder) {
       obs::FlightRecorder::global().dump_count();
 
   ThreadPool pool(2);
-  pool.parallel_for_quarantined(0, 8, [](index_t i) {
-    if (i == 3) throw std::runtime_error("quarantine me");
-  });
-  // One dump per quarantined parallel_for with failures, not per failure.
+  pool.run(
+      8,
+      [](index_t i) {
+        if (i == 3) throw std::runtime_error("quarantine me");
+      },
+      true);
+  // One dump per quarantined run with failures, not per failure.
   EXPECT_EQ(obs::FlightRecorder::global().dump_count(), dumps_before + 1);
 
   bool found = false;
@@ -188,7 +263,7 @@ TEST(ThreadPoolTest, QuarantinedFailureDumpsFlightRecorder) {
   EXPECT_TRUE(found);
 
   // A clean quarantined run must NOT dump.
-  pool.parallel_for_quarantined(0, 8, [](index_t) {});
+  pool.run(8, [](index_t) {}, true);
   EXPECT_EQ(obs::FlightRecorder::global().dump_count(), dumps_before + 1);
 
   obs::FlightRecorder::global().set_dump_directory("bench_results");

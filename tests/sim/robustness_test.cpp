@@ -4,9 +4,12 @@
 // serial and parallel. See DESIGN.md §11.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
+#include "obs/flight.h"
+#include "obs/obs.h"
 #include "sim/experiments.h"
 #include "sim/robustness.h"
 
@@ -86,6 +89,34 @@ TEST(QuarantineTest, FailedTrialsExcludedIdenticallyAcrossThreadCounts) {
         render_csv("search_rate", serial.search_rates, serial.loss_db),
         render_csv("search_rate", parallel.search_rates, parallel.loss_db));
   }
+}
+
+TEST(QuarantineTest, FailureAtOneThreadDumpsFlightRecorderOnce) {
+  // The flight-recorder snapshot of a quarantined failure must not depend
+  // on the thread count: a one-thread run dispatches inline and still
+  // leaves exactly one trace of its poisoned trials.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "mmw_sim_flight_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::FlightRecorder::global().set_dump_directory(dir.string());
+  const std::uint64_t dumps_before =
+      obs::FlightRecorder::global().dump_count();
+
+  DropSensitiveSearch fragile;
+  Scenario sc = tiny_scenario(1);
+  sc.faults.drop_probability = 0.4;
+  sc.faults.quarantine_trials = true;
+  const EffectivenessResult r = run_search_effectiveness(sc, {&fragile}, {0.5});
+  const std::uint64_t dumps = obs::FlightRecorder::global().dump_count();
+
+  obs::FlightRecorder::global().set_dump_directory("bench_results");
+  obs::set_enabled(was_enabled);
+  fs::remove_all(dir);
+  ASSERT_FALSE(r.quarantined_trials.empty());
+  EXPECT_EQ(dumps, dumps_before + 1);
 }
 
 TEST(QuarantineTest, WithoutQuarantineTheSameFailurePropagates) {

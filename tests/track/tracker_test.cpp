@@ -315,30 +315,5 @@ TEST(TrackerPolicyTest, CursorProbesMatchLegacySweepShape) {
   EXPECT_EQ(out[1], 5u);
 }
 
-TEST(TrackerPolicyTest, NeighborhoodProbesWidenSymmetrically) {
-  std::vector<index_t> out;
-  append_neighborhood_probes(4, 2, 16, 5, out);
-  const std::vector<index_t> expected{4, 3, 5, 2, 6};
-  EXPECT_EQ(out, expected);
-  out.clear();
-  // Wrapping at the edge, deduplicated.
-  append_neighborhood_probes(0, 2, 16, 5, out);
-  const std::vector<index_t> wrapped{0, 15, 1, 14, 2};
-  EXPECT_EQ(out, wrapped);
-}
-
-TEST(TrackerPolicyTest, SpreadProbesAreDeterministicAndInRange) {
-  std::vector<index_t> a, b;
-  append_spread_probes(42, 7, 16, 4, a);
-  append_spread_probes(42, 7, 16, 4, b);
-  EXPECT_EQ(a, b);
-  ASSERT_EQ(a.size(), 4u);
-  for (const index_t v : a) EXPECT_LT(v, 16u);
-  // No duplicates.
-  for (std::size_t i = 0; i < a.size(); ++i)
-    for (std::size_t j = i + 1; j < a.size(); ++j)
-      EXPECT_NE(a[i], a[j]);
-}
-
 }  // namespace
 }  // namespace mmw::track
