@@ -38,21 +38,21 @@ void BM_HermitianEig(benchmark::State& state) {
 }
 BENCHMARK(BM_HermitianEig)->Arg(8)->Arg(16)->Arg(64);
 
-void BM_HermitianEigQl(benchmark::State& state) {
-  const index_t n = static_cast<index_t>(state.range(0));
-  randgen::Rng rng(2);
-  const Matrix a = random_hermitian(rng, n);
-  for (auto _ : state) benchmark::DoNotOptimize(linalg::hermitian_eig_ql(a));
-}
-BENCHMARK(BM_HermitianEigQl)->Arg(8)->Arg(16)->Arg(64);
-
+// Shapes as the callers pass them: 64×16 is the rx 8×8 × tx 4×4 channel of
+// E3/E5 (phy/capacity, phy/hybrid); 64×64 a covariance in numerical_rank.
 void BM_Svd(benchmark::State& state) {
-  const index_t n = static_cast<index_t>(state.range(0));
+  const index_t m = static_cast<index_t>(state.range(0));
+  const index_t n = static_cast<index_t>(state.range(1));
   randgen::Rng rng(3);
-  const Matrix a = rng.complex_gaussian_matrix(n, n);
+  const Matrix a = rng.complex_gaussian_matrix(m, n);
   for (auto _ : state) benchmark::DoNotOptimize(linalg::svd(a));
 }
-BENCHMARK(BM_Svd)->Arg(8)->Arg(16);
+BENCHMARK(BM_Svd)
+    ->Args({8, 8})
+    ->Args({16, 16})
+    ->Args({64, 16})
+    ->Args({16, 64})
+    ->Args({64, 64});
 
 void BM_Cholesky(benchmark::State& state) {
   const index_t n = static_cast<index_t>(state.range(0));

@@ -388,7 +388,7 @@ CovarianceMlResult estimate_covariance_em(
     } else {
       // Penalized M-step: with S = U diag(d) Uᴴ, each eigenvalue solves
       // μ·q² + J·q − J·d = 0 (trace penalty μ on the complete-data ML).
-      const linalg::EigResult eig = linalg::hermitian_eig_ql(s);
+      const linalg::EigResult eig = linalg::hermitian_eig(s);
       std::vector<real> shrunk(eig.eigenvalues.size());
       for (index_t k = 0; k < shrunk.size(); ++k) {
         const real d = std::max(eig.eigenvalues[k], 0.0);

@@ -2,78 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <utility>
 
-#include "obs/metrics.h"
+#include "linalg/decompositions.h"
 
 namespace mmw::linalg {
-
-namespace {
-
-/// Telemetry handles for the Jacobi kernel, resolved once. Every call path
-/// through beam alignment funnels into hermitian_eig, so sweep counts are
-/// the single best proxy for linalg cost.
-struct EigMetrics {
-  obs::Counter calls;
-  obs::Counter exhausted;
-  obs::Histogram sweeps;
-  obs::Gauge exit_offdiag;
-  static const EigMetrics& get() {
-    static const EigMetrics m{
-        obs::Registry::global().counter("linalg.eig.jacobi_calls"),
-        obs::Registry::global().counter("linalg.eig.sweeps_exhausted"),
-        obs::Registry::global().histogram(
-            "linalg.eig.jacobi_sweeps",
-            obs::HistogramBuckets::linear(1.0, 1.0, 16)),
-        obs::Registry::global().gauge("linalg.eig.exit_offdiag"),
-    };
-    return m;
-  }
-};
-
-/// Sum of squared magnitudes of the strictly-off-diagonal entries.
-real off_diagonal_sq(const Matrix& a) {
-  real acc = 0.0;
-  for (index_t i = 0; i < a.rows(); ++i)
-    for (index_t j = 0; j < a.cols(); ++j)
-      if (i != j) acc += std::norm(a(i, j));
-  return acc;
-}
-
-/// Applies the complex Jacobi rotation G on the (p,q) plane:
-///   A ← Gᴴ A G,  V ← V G
-/// where G[p][p] = c, G[p][q] = s·e^{iθ}, G[q][p] = −s·e^{−iθ}, G[q][q] = c.
-void apply_rotation(Matrix& a, Matrix& v, index_t p, index_t q, real c,
-                    real s, cx phase) {
-  const index_t n = a.rows();
-  const cx sp = s * phase;           // s·e^{iθ}
-  const cx spc = s * std::conj(phase);  // s·e^{−iθ}
-
-  // Column update: [a_ip, a_iq] ← [a_ip c − a_iq s e^{−iθ},
-  //                                 a_ip s e^{iθ} + a_iq c]
-  for (index_t i = 0; i < n; ++i) {
-    const cx aip = a(i, p);
-    const cx aiq = a(i, q);
-    a(i, p) = aip * c - aiq * spc;
-    a(i, q) = aip * sp + aiq * c;
-  }
-  // Row update with Gᴴ on the left.
-  for (index_t j = 0; j < n; ++j) {
-    const cx apj = a(p, j);
-    const cx aqj = a(q, j);
-    a(p, j) = c * apj - std::conj(spc) * aqj;
-    a(q, j) = std::conj(sp) * apj + c * aqj;
-  }
-  // Accumulate eigenvectors.
-  for (index_t i = 0; i < n; ++i) {
-    const cx vip = v(i, p);
-    const cx viq = v(i, q);
-    v(i, p) = vip * c - viq * spc;
-    v(i, q) = vip * sp + viq * c;
-  }
-}
-
-}  // namespace
 
 real EigResult::energy_fraction(index_t k) const {
   real total = 0.0;
@@ -86,120 +19,53 @@ real EigResult::energy_fraction(index_t k) const {
   return total > 0.0 ? top / total : 0.0;
 }
 
-EigResult hermitian_eig(const Matrix& a_in, const JacobiOptions& opts,
-                        real hermitian_tol) {
-  MMW_REQUIRE_MSG(a_in.is_square(), "hermitian_eig requires a square matrix");
-  const real scale = std::max(a_in.frobenius_norm(), 1e-300);
-  MMW_REQUIRE_MSG(a_in.is_hermitian(hermitian_tol * std::max(1.0, scale)),
-                  "hermitian_eig requires a Hermitian matrix");
-
-  const index_t n = a_in.rows();
-  Matrix a = a_in;
-  // Symmetrize to wash out tiny Hermitian violations up front.
-  a = (a + a.adjoint()) * cx{0.5, 0.0};
-  Matrix v = Matrix::identity(n);
-
-  const real stop = opts.tolerance * scale;
-  int sweep = 0;
-  real offdiag = std::sqrt(off_diagonal_sq(a));
-  while (offdiag > stop) {
-    if (++sweep > opts.max_sweeps) {
-      if (obs::enabled()) EigMetrics::get().exhausted.add();
-      throw convergence_error("hermitian_eig: Jacobi sweeps exhausted");
-    }
-    for (index_t p = 0; p + 1 < n; ++p) {
-      for (index_t q = p + 1; q < n; ++q) {
-        const cx apq = a(p, q);
-        const real r = std::abs(apq);
-        if (r <= stop / static_cast<real>(n)) continue;
-        const cx phase = apq / r;  // e^{iθ} with a_pq = r e^{iθ}
-        const real app = a(p, p).real();
-        const real aqq = a(q, q).real();
-        const real tau = (aqq - app) / (2.0 * r);
-        const real t = (tau >= 0.0)
-                           ? 1.0 / (tau + std::sqrt(1.0 + tau * tau))
-                           : -1.0 / (-tau + std::sqrt(1.0 + tau * tau));
-        const real c = 1.0 / std::sqrt(1.0 + t * t);
-        const real s = t * c;
-        apply_rotation(a, v, p, q, c, s, phase);
-      }
-    }
-    offdiag = std::sqrt(off_diagonal_sq(a));
-  }
-
-  if (obs::enabled()) {
-    const EigMetrics& m = EigMetrics::get();
-    m.calls.add();
-    m.sweeps.record(static_cast<real>(sweep));
-    m.exit_offdiag.set(offdiag);
-  }
-
-  EigResult result;
-  result.eigenvalues.resize(n);
-  for (index_t i = 0; i < n; ++i) result.eigenvalues[i] = a(i, i).real();
-
-  // Sort eigenpairs descending by eigenvalue.
-  std::vector<index_t> order(n);
-  std::iota(order.begin(), order.end(), index_t{0});
-  std::sort(order.begin(), order.end(), [&](index_t x, index_t y) {
-    return result.eigenvalues[x] > result.eigenvalues[y];
-  });
-  std::vector<real> sorted_vals(n);
-  Matrix sorted_vecs(n, n);
-  for (index_t k = 0; k < n; ++k) {
-    sorted_vals[k] = result.eigenvalues[order[k]];
-    sorted_vecs.set_col(k, v.col(order[k]));
-  }
-  result.eigenvalues = std::move(sorted_vals);
-  result.eigenvectors = std::move(sorted_vecs);
-  return result;
-}
-
-SvdResult svd(const Matrix& a, const JacobiOptions& opts) {
+SvdResult svd(const Matrix& a) {
   MMW_REQUIRE_MSG(!a.empty(), "svd of an empty matrix");
-  const bool tall = a.rows() >= a.cols();
-  // Work with the smaller Gram matrix: AᴴA (n×n) when tall, AAᴴ otherwise.
-  const Matrix gram = tall ? a.adjoint() * a : a * a.adjoint();
-  const EigResult eig = hermitian_eig(gram, opts);
-
-  const index_t r = gram.rows();
-  SvdResult out;
-  out.singular_values.resize(r);
-  for (index_t k = 0; k < r; ++k)
-    out.singular_values[k] = std::sqrt(std::max(eig.eigenvalues[k], 0.0));
-
-  // Threshold below which a singular triplet is treated as part of the null
-  // space: recovered vectors there would just amplify rounding noise.
-  const real tiny =
-      1e-13 * std::max(out.singular_values.empty() ? 0.0
-                                                   : out.singular_values[0],
-                       1.0);
-
-  if (tall) {
-    out.v = eig.eigenvectors;  // n×n
-    out.u = Matrix(a.rows(), r);
-    for (index_t k = 0; k < r; ++k) {
-      if (out.singular_values[k] > tiny) {
-        Vector uk = a * out.v.col(k);
-        uk /= cx{out.singular_values[k], 0.0};
-        out.u.set_col(k, uk);
-      } else {
-        out.u.set_col(k, Vector::basis(a.rows(), k % a.rows()));
-      }
-    }
-  } else {
-    out.u = eig.eigenvectors;  // m×m
-    out.v = Matrix(a.cols(), r);
-    for (index_t k = 0; k < r; ++k) {
-      if (out.singular_values[k] > tiny) {
-        Vector vk = a.adjoint() * out.u.col(k);
-        vk /= cx{out.singular_values[k], 0.0};
-        out.v.set_col(k, vk);
-      } else {
-        out.v.set_col(k, Vector::basis(a.cols(), k % a.cols()));
-      }
-    }
+  // A wide A factors through its tall adjoint: Aᴴ = V Σ Uᴴ.
+  if (a.rows() < a.cols()) {
+    SvdResult t = svd(a.adjoint());
+    std::swap(t.u, t.v);
+    return t;
   }
+  const index_t n = a.cols();
+  // A = Q R: the n×n triangle R = U_R Σ Vᴴ has A's σ and V, and U = Q U_R,
+  // so the eigenproblem below is 2n-square, not (m + n)-square.
+  const QrResult qr = qr_decompose(a);
+  // H (u; v) = λ (u; v) iff R v = λ u and Rᴴ u = λ v, so H's eigenvalues are
+  // ±σ (nothing is squared, unlike in RᴴR) and its top n eigenvectors
+  // carry U_R above row n and V below.
+  Matrix h(2 * n, 2 * n);
+  for (index_t i = 0; i < n; ++i)
+    for (index_t j = i; j < n; ++j) {
+      h(i, n + j) = qr.r(i, j);
+      h(n + j, i) = std::conj(qr.r(i, j));
+    }
+  const EigResult eig = hermitian_eig(h);
+
+  SvdResult out;
+  out.singular_values.resize(n);
+  Matrix ur(n, n);
+  Matrix v(n, n);
+  // Below this σ a triplet belongs to the null space: its ±σ eigenpairs mix
+  // and the halves are no longer singular vectors, so the columns stay zero.
+  const real tiny = 1e-13 * std::max(eig.eigenvalues[0], 1.0);
+  for (index_t k = 0; k < n; ++k) {
+    out.singular_values[k] = std::max(eig.eigenvalues[k], 0.0);
+    if (out.singular_values[k] <= tiny) continue;
+    Vector uk(n);
+    Vector vk(n);
+    for (index_t j = 0; j < n; ++j) {
+      uk[j] = eig.eigenvectors(j, k);
+      vk[j] = eig.eigenvectors(n + j, k);
+    }
+    ur.set_col(k, uk.normalized());
+    v.set_col(k, vk.normalized());
+  }
+  // Householder QR's Q is unitary whatever the columns hold. In σ order it
+  // re-orthonormalizes the halves, which are orthonormal only to ε/gap on a
+  // graded spectrum, and completes the zero null-space columns.
+  out.u = qr.q * qr_decompose(ur).q;
+  out.v = qr_decompose(v).q;
   return out;
 }
 

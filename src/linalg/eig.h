@@ -23,43 +23,30 @@ struct EigResult {
   real energy_fraction(index_t k) const;
 };
 
-/// Options for the cyclic-Jacobi eigensolver.
-struct JacobiOptions {
-  /// Stop when the off-diagonal Frobenius norm falls below
-  /// `tolerance * ‖A‖_F`.
-  real tolerance = 1e-12;
-  /// Maximum number of full sweeps before convergence_error is thrown.
-  int max_sweeps = 100;
-};
-
-/// Eigendecomposition of a Hermitian matrix by the cyclic complex Jacobi
-/// method. Numerically robust at the problem sizes used here (n ≲ 256).
-///
-/// Preconditions: `a` is square and Hermitian within `hermitian_tol`.
-/// Throws convergence_error if `max_sweeps` is exhausted (does not happen
-/// for genuinely Hermitian input at reasonable tolerance).
-EigResult hermitian_eig(const Matrix& a, const JacobiOptions& opts = {},
-                        real hermitian_tol = 1e-8);
-
 /// Eigendecomposition of a Hermitian matrix by Householder reduction to a
 /// real symmetric tridiagonal followed by the implicit QL algorithm with
-/// Wilkinson shifts — a single-pass O(n³) method, roughly an order of
-/// magnitude faster than Jacobi at n = 64 (see bench/micro_linalg).
-/// Same contract and result layout as hermitian_eig.
-EigResult hermitian_eig_ql(const Matrix& a, real hermitian_tol = 1e-8);
+/// Wilkinson shifts (EISPACK tql2 deflation) — a single-pass O(n³) method.
+///
+/// Preconditions: `a` is square and Hermitian within 1e-8·max(1, ‖A‖_F)
+/// per entry. Throws convergence_error if one eigenvalue takes more than 50
+/// QL iterations (does not happen for genuinely Hermitian input).
+EigResult hermitian_eig(const Matrix& a);
 
 /// Result of a (thin) singular value decomposition A = U diag(σ) Vᴴ with
-/// σ sorted descending; U is m×r, V is n×r where r = min(m, n).
+/// σ sorted descending; U is m×r, V is n×r where r = min(m, n), and both
+/// have orthonormal columns.
 struct SvdResult {
   Matrix u;
   std::vector<real> singular_values;
   Matrix v;
 };
 
-/// Thin SVD via the eigendecomposition of AᴴA (or AAᴴ when m < n).
-/// Accurate to ~sqrt(machine-eps) for the smallest singular values, which is
-/// ample for rank decisions and nuclear-norm computation on covariance-scale
-/// matrices.
-SvdResult svd(const Matrix& a, const JacobiOptions& opts = {});
+/// Thin SVD. A tall A (a wide one goes through Aᴴ) is reduced to the
+/// triangle R of A = QR, and σ, V and U_R come from the top r eigenpairs of
+/// the Hermitian dilation [[0, R], [Rᴴ, 0]], whose eigenvalues are ±σ: a
+/// 2r-square eigenproblem that does not square the condition number (as a
+/// Gram matrix AᴴA would). U = Q·U_R. Both factors are re-orthonormalized
+/// in σ order, which also completes the columns for σ ≈ 0.
+SvdResult svd(const Matrix& a);
 
 }  // namespace mmw::linalg

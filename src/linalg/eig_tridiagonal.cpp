@@ -1,4 +1,4 @@
-// Hermitian eigensolver via Householder tridiagonalization + implicit QL.
+// The Hermitian eigensolver: Householder tridiagonalization + implicit QL.
 //
 // Pipeline: A (complex Hermitian)
 //   → Householder similarity to complex-Hermitian tridiagonal
@@ -85,23 +85,32 @@ void householder_tridiagonalize(Matrix& a, Matrix& z) {
 /// Implicit QL with Wilkinson shifts on a real symmetric tridiagonal
 /// (d = diagonal, e = subdiagonal, e[n-1] unused), rotations accumulated
 /// into the complex matrix z. Numerical-Recipes tqli structure.
+///
+/// A subdiagonal entry is negligible when it is small against its two
+/// diagonal neighbours, or — EISPACK tql2's test — when it vanishes
+/// against tst1, the largest |d_l| + |e_l| seen so far. The second exit is
+/// what deflates inside a cluster of (near-)zero eigenvalues, where the
+/// neighbour-relative test never fires.
 void tridiagonal_ql(std::vector<real>& d, std::vector<real>& e, Matrix& z) {
   const index_t n = d.size();
   if (n == 0) return;
   e[n - 1] = 0.0;
 
+  real tst1 = 0.0;
   for (index_t l = 0; l < n; ++l) {
+    tst1 = std::max(tst1, std::abs(d[l]) + std::abs(e[l]));
     int iterations = 0;
     index_t m;
     do {
       // Find the first negligible subdiagonal at or above l.
       for (m = l; m + 1 < n; ++m) {
         const real dd = std::abs(d[m]) + std::abs(d[m + 1]);
-        if (std::abs(e[m]) <= 1e-15 * dd) break;
+        if (std::abs(e[m]) <= 1e-15 * dd || tst1 + std::abs(e[m]) == tst1)
+          break;
       }
       if (m == l) break;
       if (++iterations > 50)
-        throw convergence_error("hermitian_eig_ql: QL iteration stalled");
+        throw convergence_error("hermitian_eig: QL iteration stalled");
 
       // Wilkinson shift.
       real g = (d[l + 1] - d[l]) / (2.0 * e[l]);
@@ -147,12 +156,11 @@ void tridiagonal_ql(std::vector<real>& d, std::vector<real>& e, Matrix& z) {
 
 }  // namespace
 
-EigResult hermitian_eig_ql(const Matrix& a_in, real hermitian_tol) {
-  MMW_REQUIRE_MSG(a_in.is_square(),
-                  "hermitian_eig_ql requires a square matrix");
+EigResult hermitian_eig(const Matrix& a_in) {
+  MMW_REQUIRE_MSG(a_in.is_square(), "hermitian_eig requires a square matrix");
   const real scale = std::max(a_in.frobenius_norm(), 1e-300);
-  MMW_REQUIRE_MSG(a_in.is_hermitian(hermitian_tol * std::max(1.0, scale)),
-                  "hermitian_eig_ql requires a Hermitian matrix");
+  MMW_REQUIRE_MSG(a_in.is_hermitian(1e-8 * std::max(1.0, scale)),
+                  "hermitian_eig requires a Hermitian matrix");
 
   if (obs::enabled()) {
     static const obs::Counter calls =

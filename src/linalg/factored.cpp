@@ -66,7 +66,7 @@ Vector FactoredHermitian::apply(const Vector& v) const {
 }
 
 EigResult FactoredHermitian::eig() const {
-  EigResult core_eig = hermitian_eig_ql(core_);
+  EigResult core_eig = hermitian_eig(core_);
   if (full_) return core_eig;
   // Lift the r eigenvectors: column k of B·U. The remaining N−r eigenvalues
   // of Q are exactly zero (Q vanishes off the basis span) and are omitted.

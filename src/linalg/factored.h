@@ -79,7 +79,7 @@ class FactoredHermitian {
   real trace() const { return core_.trace().real(); }
 
   /// Eigendecomposition of Q through the core: decompose Q_r (r×r, via
-  /// hermitian_eig_ql) and lift the r eigenvectors as B·u. The remaining
+  /// hermitian_eig) and lift the r eigenvectors as B·u. The remaining
   /// N−r eigenvalues of Q are exactly zero and are omitted, so the result
   /// holds r eigenpairs sorted descending. O(N·r² + r³) versus O(N³) dense.
   EigResult eig() const;

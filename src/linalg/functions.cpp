@@ -55,18 +55,6 @@ Matrix eigenvalue_soft_threshold(const Matrix& a, real mu) {
   return rebuild(eig, shrunk);
 }
 
-real nuclear_norm(const Matrix& a) {
-  const SvdResult s = svd(a);
-  real acc = 0.0;
-  for (const real sigma : s.singular_values) acc += sigma;
-  return acc;
-}
-
-real spectral_norm(const Matrix& a) {
-  const SvdResult s = svd(a);
-  return s.singular_values.empty() ? 0.0 : s.singular_values[0];
-}
-
 index_t numerical_rank(const Matrix& a, real rel_tol) {
   const SvdResult s = svd(a);
   if (s.singular_values.empty() || s.singular_values[0] == 0.0) return 0;
@@ -75,35 +63,6 @@ index_t numerical_rank(const Matrix& a, real rel_tol) {
   for (const real sigma : s.singular_values)
     if (sigma > cutoff) ++rank;
   return rank;
-}
-
-Matrix kronecker(const Matrix& a, const Matrix& b) {
-  Matrix out(a.rows() * b.rows(), a.cols() * b.cols());
-  for (index_t i = 0; i < a.rows(); ++i)
-    for (index_t j = 0; j < a.cols(); ++j) {
-      const cx aij = a(i, j);
-      if (aij == cx{0.0, 0.0}) continue;
-      for (index_t k = 0; k < b.rows(); ++k)
-        for (index_t l = 0; l < b.cols(); ++l)
-          out(i * b.rows() + k, j * b.cols() + l) = aij * b(k, l);
-    }
-  return out;
-}
-
-Matrix low_rank_approximation(const Matrix& a, index_t k) {
-  const SvdResult s = svd(a);
-  const index_t r = std::min<index_t>(k, s.singular_values.size());
-  Matrix out(a.rows(), a.cols());
-  for (index_t t = 0; t < r; ++t) {
-    const Vector ut = s.u.col(t);
-    const Vector vt = s.v.col(t);
-    for (index_t i = 0; i < a.rows(); ++i) {
-      const cx scaled = s.singular_values[t] * ut[i];
-      for (index_t j = 0; j < a.cols(); ++j)
-        out(i, j) += scaled * std::conj(vt[j]);
-    }
-  }
-  return out;
 }
 
 }  // namespace mmw::linalg

@@ -1,5 +1,5 @@
 // Matrix functions built on the Hermitian eigendecomposition: PSD projection,
-// square roots, nuclear-norm proximal operator, matrix norms and rank.
+// square roots, nuclear-norm proximal operator and numerical rank.
 #pragma once
 
 #include "linalg/eig.h"
@@ -23,19 +23,7 @@ Matrix hermitian_sqrt(const Matrix& a);
 /// by the regularized ML covariance solver (paper eq. 23).
 Matrix eigenvalue_soft_threshold(const Matrix& a, real mu);
 
-/// Nuclear norm ‖A‖₁ = Σσᵢ (sum of singular values).
-real nuclear_norm(const Matrix& a);
-
-/// Spectral norm ‖A‖₂ = σ_max.
-real spectral_norm(const Matrix& a);
-
 /// Numerical rank: number of singular values above `rel_tol · σ_max`.
 index_t numerical_rank(const Matrix& a, real rel_tol = 1e-9);
-
-/// Kronecker product A ⊗ B.
-Matrix kronecker(const Matrix& a, const Matrix& b);
-
-/// Best rank-k approximation in Frobenius norm (truncated SVD).
-Matrix low_rank_approximation(const Matrix& a, index_t k);
 
 }  // namespace mmw::linalg

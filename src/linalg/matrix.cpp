@@ -212,14 +212,9 @@ bool approx_equal(const Matrix& a, const Matrix& b, real tol) {
   return (a - b).frobenius_norm() <= tol;
 }
 
-cx quadratic_form(const Vector& a, const Matrix& m, const Vector& b) {
-  MMW_REQUIRE(a.size() == m.rows() && b.size() == m.cols());
-  return dot(a, m * b);
-}
-
 real hermitian_form(const Vector& v, const Matrix& m) {
   MMW_REQUIRE(m.is_square());
-  return quadratic_form(v, m, v).real();
+  return dot(v, m * v).real();
 }
 
 }  // namespace mmw::linalg

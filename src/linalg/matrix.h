@@ -120,9 +120,6 @@ Vector operator*(const Matrix& a, const Vector& v);
 /// True when ‖A − B‖_F ≤ tol.
 bool approx_equal(const Matrix& a, const Matrix& b, real tol);
 
-/// Rayleigh quotient style sesquilinear form aᴴ M b.
-cx quadratic_form(const Vector& a, const Matrix& m, const Vector& b);
-
 /// Hermitian form vᴴ M v, returned as its (real) value. `m` must be square;
 /// the imaginary part (zero for Hermitian M up to rounding) is discarded.
 real hermitian_form(const Vector& v, const Matrix& m);

@@ -56,7 +56,9 @@ std::uint64_t Rng::uniform_int(std::uint64_t lo, std::uint64_t hi) {
 
 real Rng::normal(real mean, real stddev) {
   MMW_REQUIRE(stddev >= 0.0);
-  return std::normal_distribution<real>(mean, stddev)(engine_);
+  // std::normal_distribution requires stddev > 0, so draw N(0, 1) and scale:
+  // the same expression libstdc++ evaluates, so values and draws match.
+  return std::normal_distribution<real>(0.0, 1.0)(engine_) * stddev + mean;
 }
 
 cx Rng::complex_normal(real variance) {

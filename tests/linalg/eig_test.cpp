@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <utility>
 
-#include "obs/metrics.h"
+#include "planted_spectrum.h"
 #include "randgen/rng.h"
 
 namespace mmw::linalg {
@@ -12,27 +15,16 @@ namespace {
 
 using randgen::Rng;
 
-/// Builds a random Hermitian matrix with the given eigenvalues (Haar-random
-/// eigenbasis from QR-free Gram-Schmidt of a Gaussian matrix).
-Matrix hermitian_with_spectrum(Rng& rng, const std::vector<real>& eigs) {
-  const index_t n = eigs.size();
-  // Gram–Schmidt a random Gaussian matrix into a unitary.
-  Matrix g = rng.complex_gaussian_matrix(n, n);
-  Matrix u(n, n);
-  for (index_t j = 0; j < n; ++j) {
-    Vector v = g.col(j);
-    for (index_t k = 0; k < j; ++k) {
-      const Vector uk = u.col(k);
-      v -= dot(uk, v) * uk;
+/// Hermitian dilation [[0, A], [Aᴴ, 0]] of a square A.
+Matrix dilation(const Matrix& a) {
+  const index_t n = a.rows();
+  Matrix h(2 * n, 2 * n);
+  for (index_t i = 0; i < n; ++i)
+    for (index_t j = 0; j < n; ++j) {
+      h(i, n + j) = a(i, j);
+      h(n + j, i) = std::conj(a(i, j));
     }
-    u.set_col(j, v.normalized());
-  }
-  Matrix a(n, n);
-  for (index_t k = 0; k < n; ++k) {
-    const Vector uk = u.col(k);
-    a += cx{eigs[k], 0.0} * Matrix::outer(uk, uk);
-  }
-  return a;
+  return h;
 }
 
 TEST(EigTest, DiagonalMatrix) {
@@ -145,62 +137,52 @@ TEST(EigTest, EnergyFractionOfLowRank) {
   EXPECT_NEAR(r.energy_fraction(0), 0.0, 1e-12);
 }
 
-TEST(EigTest, SweepExhaustionThrows) {
-  Rng rng(23);
-  Matrix g = rng.complex_gaussian_matrix(16, 16);
-  Matrix a = (g + g.adjoint()) * cx{0.5, 0.0};
-  JacobiOptions opts;
-  opts.max_sweeps = 0;
-  EXPECT_THROW(hermitian_eig(a, opts), convergence_error);
-}
+// -------------------------------------------- QL structure and spectra ----
 
-TEST(EigTest, SweepExhaustionAfterPartialProgressThrows) {
-  // max_sweeps = 1 lets a full rotation sweep run before the budget check
-  // fires — a dense random 12×12 cannot reach 1e-12 in one sweep, so this
-  // exercises the throw on the mid-loop path, not the degenerate entry.
-  Rng rng(29);
-  Matrix g = rng.complex_gaussian_matrix(12, 12);
-  Matrix a = (g + g.adjoint()) * cx{0.5, 0.0};
-  JacobiOptions opts;
-  opts.max_sweeps = 1;
-  EXPECT_THROW(hermitian_eig(a, opts), convergence_error);
-}
-
-TEST(EigTest, SweepExhaustionIsCounted) {
-  const bool was_enabled = obs::enabled();
-  obs::set_enabled(true);
-  const auto count = [] {
-    return obs::Registry::global()
-        .snapshot()
-        .counters.at("linalg.eig.sweeps_exhausted")
-        .value;
-  };
-  Rng rng(31);
-  Matrix g = rng.complex_gaussian_matrix(10, 10);
-  Matrix a = (g + g.adjoint()) * cx{0.5, 0.0};
-  JacobiOptions opts;
-  opts.max_sweeps = 1;
-  EXPECT_THROW(hermitian_eig(a, opts), convergence_error);
-  const std::uint64_t after_first = count();
-  EXPECT_GE(after_first, 1u);
-  EXPECT_THROW(hermitian_eig(a, opts), convergence_error);
-  EXPECT_EQ(count(), after_first + 1);
-  obs::set_enabled(was_enabled);
-}
-
-// ----------------------------------------------------------- QL solver ----
-
-TEST(EigQlTest, MatchesJacobiOnRandomHermitian) {
+TEST(EigQlTest, MatchesPlantedSpectrum) {
   Rng rng(61);
   for (const index_t n : {index_t{2}, index_t{5}, index_t{16}, index_t{40}}) {
-    Matrix g = rng.complex_gaussian_matrix(n, n);
-    Matrix a = (g + g.adjoint()) * cx{0.5, 0.0};
-    const EigResult rj = hermitian_eig(a);
-    const EigResult rq = hermitian_eig_ql(a);
+    std::vector<real> eigs(n);
+    for (real& e : eigs) e = rng.uniform(-5.0, 5.0);
+    const EigResult r = hermitian_eig(hermitian_with_spectrum(rng, eigs));
+    std::sort(eigs.begin(), eigs.end(), std::greater<>());
     for (index_t k = 0; k < n; ++k)
-      EXPECT_NEAR(rj.eigenvalues[k], rq.eigenvalues[k],
-                  1e-10 * (1.0 + std::abs(rj.eigenvalues[k])))
+      EXPECT_NEAR(r.eigenvalues[k], eigs[k], 1e-10 * (1.0 + std::abs(eigs[k])))
           << "n=" << n << " k=" << k;
+  }
+}
+
+TEST(EigQlTest, DilationOfRankDeficientMatrixDeflates) {
+  // [[0, A], [Aᴴ, 0]] of a rank-r n×n A has spectrum ±σ₁..±σ_r plus a
+  // cluster of 2(n − r) exact zeros, where a neighbour-relative deflation
+  // test never fires; the norm-relative (tql2) test must.
+  for (const index_t n : {index_t{8}, index_t{32}, index_t{64}}) {
+    for (const index_t rank : {index_t{1}, index_t{2}}) {
+      for (std::uint64_t seed = 0; seed < 50; ++seed) {
+        Rng rng = Rng::stream(0xd11a7e, n, rank, seed);
+        const Matrix x = random_orthonormal_columns(rng, n, rank);
+        const Matrix y = random_orthonormal_columns(rng, n, rank);
+        std::vector<real> sigma(rank);
+        for (real& s : sigma) s = rng.uniform(0.5, 2.0);
+        std::sort(sigma.begin(), sigma.end(), std::greater<>());
+        Matrix a(n, n);
+        for (index_t k = 0; k < rank; ++k)
+          a += cx{sigma[k], 0.0} * Matrix::outer(x.col(k), y.col(k));
+
+        std::vector<real> expected(2 * n, 0.0);
+        for (index_t k = 0; k < rank; ++k) {
+          expected[k] = sigma[k];
+          expected[2 * n - 1 - k] = -sigma[k];
+        }
+        EigResult r;
+        ASSERT_NO_THROW(r = hermitian_eig(dilation(a)))
+            << "n=" << n << " rank=" << rank << " seed=" << seed;
+        for (index_t k = 0; k < 2 * n; ++k)
+          ASSERT_NEAR(r.eigenvalues[k], expected[k], 1e-9 * sigma[0])
+              << "n=" << n << " rank=" << rank << " seed=" << seed
+              << " k=" << k;
+      }
+    }
   }
 }
 
@@ -208,7 +190,7 @@ TEST(EigQlTest, EigenpairsSatisfyDefinition) {
   Rng rng(62);
   Matrix g = rng.complex_gaussian_matrix(24, 24);
   Matrix a = (g + g.adjoint()) * cx{0.5, 0.0};
-  const EigResult r = hermitian_eig_ql(a);
+  const EigResult r = hermitian_eig(a);
   for (index_t k = 0; k < 24; ++k) {
     const Vector vk = r.eigenvectors.col(k);
     EXPECT_TRUE(approx_equal(a * vk, cx{r.eigenvalues[k], 0.0} * vk, 1e-9));
@@ -220,12 +202,12 @@ TEST(EigQlTest, EigenpairsSatisfyDefinition) {
 TEST(EigQlTest, DiagonalAndTinyMatrices) {
   const real d[] = {4.0, -2.0, 1.0};
   const EigResult r =
-      hermitian_eig_ql(Matrix::diagonal(std::span<const real>(d)));
+      hermitian_eig(Matrix::diagonal(std::span<const real>(d)));
   EXPECT_NEAR(r.eigenvalues[0], 4.0, 1e-12);
   EXPECT_NEAR(r.eigenvalues[2], -2.0, 1e-12);
   // 1×1.
   Matrix one{{cx{7.0, 0.0}}};
-  EXPECT_NEAR(hermitian_eig_ql(one).eigenvalues[0], 7.0, 1e-12);
+  EXPECT_NEAR(hermitian_eig(one).eigenvalues[0], 7.0, 1e-12);
 }
 
 TEST(EigQlTest, ComplexPhaseStructurePreserved) {
@@ -235,15 +217,15 @@ TEST(EigQlTest, ComplexPhaseStructurePreserved) {
   Vector x = rng.random_unit_vector(12);
   Matrix a = Matrix::outer(x, x) * cx{3.0, 0.0} +
              Matrix::identity(12) * cx{0.5, 0.0};
-  const EigResult r = hermitian_eig_ql(a);
+  const EigResult r = hermitian_eig(a);
   EXPECT_NEAR(r.eigenvalues[0], 3.5, 1e-10);
   EXPECT_NEAR(std::abs(dot(r.principal_eigenvector(), x)), 1.0, 1e-9);
 }
 
 TEST(EigQlTest, RejectsNonHermitian) {
   Matrix not_h{{cx{0, 0}, cx{1, 0}}, {cx{2, 0}, cx{0, 0}}};
-  EXPECT_THROW(hermitian_eig_ql(not_h), precondition_error);
-  EXPECT_THROW(hermitian_eig_ql(Matrix(2, 3)), precondition_error);
+  EXPECT_THROW(hermitian_eig(not_h), precondition_error);
+  EXPECT_THROW(hermitian_eig(Matrix(2, 3)), precondition_error);
 }
 
 // ---------------------------------------------------------------- SVD -----
@@ -304,6 +286,75 @@ TEST(SvdTest, RankDeficientHasZeroSingularValues) {
   EXPECT_NEAR(s.singular_values[0], 1.0, 1e-9);
   for (index_t k = 1; k < 5; ++k)
     EXPECT_NEAR(s.singular_values[k], 0.0, 1e-7);
+}
+
+TEST(SvdTest, RankDeficientTallAndWideHaveOrthonormalFactors) {
+  // Null-space columns of U and V come from completion, not from the
+  // (mixed) zero eigenpairs of the dilation; they must stay orthonormal on
+  // both sides for tall, wide and square inputs alike.
+  struct Shape {
+    index_t rows, cols, rank;
+  };
+  Rng rng(47);
+  for (const Shape& sh : {Shape{12, 5, 2}, Shape{5, 12, 2}, Shape{9, 4, 1},
+                          Shape{4, 9, 1}, Shape{6, 6, 3}, Shape{3, 7, 0}}) {
+    const Matrix x = random_orthonormal_columns(rng, sh.rows, sh.rank);
+    const Matrix y = random_orthonormal_columns(rng, sh.cols, sh.rank);
+    Matrix a(sh.rows, sh.cols);
+    for (index_t k = 0; k < sh.rank; ++k)
+      a += cx{3.0 - k, 0.0} * Matrix::outer(x.col(k), y.col(k));
+    const SvdResult s = svd(a);
+    SCOPED_TRACE(::testing::Message()
+                 << sh.rows << "x" << sh.cols << " rank " << sh.rank);
+    const index_t r = std::min(sh.rows, sh.cols);
+    ASSERT_EQ(s.singular_values.size(), r);
+    EXPECT_TRUE(approx_equal(s.u.adjoint() * s.u, Matrix::identity(r), 1e-9));
+    EXPECT_TRUE(approx_equal(s.v.adjoint() * s.v, Matrix::identity(r), 1e-9));
+    Matrix rebuilt(sh.rows, sh.cols);
+    for (index_t k = 0; k < r; ++k) {
+      EXPECT_NEAR(s.singular_values[k], k < sh.rank ? 3.0 - k : 0.0, 1e-12);
+      rebuilt += cx{s.singular_values[k], 0.0} *
+                 Matrix::outer(s.u.col(k), s.v.col(k));
+    }
+    EXPECT_TRUE(approx_equal(rebuilt, a, 1e-9));
+  }
+}
+
+TEST(SvdTest, KeepsSmallSingularValuesAtCallerShapes) {
+  // Planted σ from 1 down to 1e-9 at the 64×16 channel shape of the MIMO
+  // capacity and hybrid precoder callers, and its wide transpose. Through a
+  // Gram matrix σ² = 1e-18 drowns in rounding of order 1e-16, so σ_min
+  // would be off by ~1e-7; the dilation of R keeps it to rounding.
+  Rng rng(53);
+  for (const auto& [rows, cols] :
+       {std::pair<index_t, index_t>{64, 16}, {16, 64}}) {
+    const index_t r = std::min(rows, cols);
+    const Matrix x = random_orthonormal_columns(rng, rows, r);
+    const Matrix y = random_orthonormal_columns(rng, cols, r);
+    std::vector<real> sigma(r);
+    Matrix a(rows, cols);
+    for (index_t k = 0; k < r; ++k) {
+      sigma[k] = std::pow(10.0, -9.0 * static_cast<real>(k) /
+                                    static_cast<real>(r - 1));
+      a += cx{sigma[k], 0.0} * Matrix::outer(x.col(k), y.col(k));
+    }
+    const SvdResult s = svd(a);
+    SCOPED_TRACE(::testing::Message() << rows << "x" << cols);
+    ASSERT_EQ(s.singular_values.size(), r);
+    for (index_t k = 0; k < r; ++k)
+      EXPECT_NEAR(s.singular_values[k], sigma[k], 1e-12);
+    // The halves of the dilation's eigenvectors are orthonormal only to
+    // ε/gap (~1e-7 here); the factors must be orthonormal to rounding.
+    EXPECT_TRUE(
+        approx_equal(s.u.adjoint() * s.u, Matrix::identity(r), 1e-12));
+    EXPECT_TRUE(
+        approx_equal(s.v.adjoint() * s.v, Matrix::identity(r), 1e-12));
+    Matrix rebuilt(rows, cols);
+    for (index_t k = 0; k < r; ++k)
+      rebuilt += cx{s.singular_values[k], 0.0} *
+                 Matrix::outer(s.u.col(k), s.v.col(k));
+    EXPECT_TRUE(approx_equal(rebuilt, a, 1e-12));
+  }
 }
 
 TEST(SvdTest, EmptyThrows) { EXPECT_THROW(svd(Matrix()), precondition_error); }

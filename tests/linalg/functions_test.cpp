@@ -98,28 +98,6 @@ TEST(SoftThresholdTest, ReducesRank) {
   EXPECT_EQ(numerical_rank(s), 1u);
 }
 
-TEST(NormTest, NuclearNormOfDiagonal) {
-  const real d[] = {3.0, -4.0};
-  EXPECT_NEAR(nuclear_norm(Matrix::diagonal(std::span<const real>(d))), 7.0,
-              1e-9);
-}
-
-TEST(NormTest, SpectralNormOfDiagonal) {
-  const real d[] = {3.0, -4.0};
-  EXPECT_NEAR(spectral_norm(Matrix::diagonal(std::span<const real>(d))), 4.0,
-              1e-9);
-}
-
-TEST(NormTest, NormInequalities) {
-  Rng rng(8);
-  Matrix a = rng.complex_gaussian_matrix(6, 6);
-  const real spec = spectral_norm(a);
-  const real frob = a.frobenius_norm();
-  const real nuc = nuclear_norm(a);
-  EXPECT_LE(spec, frob + 1e-9);
-  EXPECT_LE(frob, nuc + 1e-9);
-}
-
 TEST(RankTest, ExactLowRank) {
   Rng rng(9);
   Matrix x = rng.complex_gaussian_matrix(8, 3);
@@ -132,55 +110,6 @@ TEST(RankTest, ZeroMatrixHasRankZero) {
 
 TEST(RankTest, FullRankIdentity) {
   EXPECT_EQ(numerical_rank(Matrix::identity(5)), 5u);
-}
-
-TEST(KroneckerTest, Dimensions) {
-  Matrix a(2, 3), b(4, 5);
-  Matrix k = kronecker(a, b);
-  EXPECT_EQ(k.rows(), 8u);
-  EXPECT_EQ(k.cols(), 15u);
-}
-
-TEST(KroneckerTest, IdentityKronIdentity) {
-  EXPECT_TRUE(approx_equal(kronecker(Matrix::identity(2), Matrix::identity(3)),
-                           Matrix::identity(6), 1e-14));
-}
-
-TEST(KroneckerTest, MixedProductProperty) {
-  Rng rng(10);
-  Matrix a = rng.complex_gaussian_matrix(2, 2);
-  Matrix b = rng.complex_gaussian_matrix(3, 3);
-  Matrix c = rng.complex_gaussian_matrix(2, 2);
-  Matrix d = rng.complex_gaussian_matrix(3, 3);
-  // (A⊗B)(C⊗D) = (AC)⊗(BD)
-  Matrix lhs = kronecker(a, b) * kronecker(c, d);
-  Matrix rhs = kronecker(a * c, b * d);
-  EXPECT_TRUE(approx_equal(lhs, rhs, 1e-9 * (1.0 + rhs.frobenius_norm())));
-}
-
-TEST(LowRankApproxTest, TruncatesToRankK) {
-  Rng rng(11);
-  Matrix a = rng.complex_gaussian_matrix(8, 8);
-  Matrix a2 = low_rank_approximation(a, 2);
-  EXPECT_EQ(numerical_rank(a2, 1e-8), 2u);
-}
-
-TEST(LowRankApproxTest, FullRankIsExact) {
-  Rng rng(12);
-  Matrix a = rng.complex_gaussian_matrix(5, 5);
-  EXPECT_TRUE(approx_equal(low_rank_approximation(a, 5), a,
-                           1e-8 * a.frobenius_norm()));
-}
-
-TEST(LowRankApproxTest, OptimalityVsRandomRankK) {
-  // The truncated SVD must beat a random rank-k approximation.
-  Rng rng(13);
-  Matrix a = rng.complex_gaussian_matrix(6, 6);
-  Matrix best = low_rank_approximation(a, 2);
-  Vector x = rng.random_unit_vector(6);
-  Vector y = rng.random_unit_vector(6);
-  Matrix rnd = Matrix::outer(x, y);
-  EXPECT_LE((a - best).frobenius_norm(), (a - rnd).frobenius_norm() + 1e-12);
 }
 
 }  // namespace

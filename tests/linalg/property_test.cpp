@@ -6,12 +6,15 @@
 // exact matrix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "linalg/decompositions.h"
 #include "linalg/eig.h"
 #include "linalg/factored.h"
 #include "linalg/functions.h"
+#include "planted_spectrum.h"
 #include "randgen/rng.h"
 
 namespace mmw::linalg {
@@ -51,11 +54,17 @@ TEST_P(DecompositionProperty, EigReconstructsWithOrthonormalBasis) {
   const auto [n, cases] = GetParam();
   for (index_t c = 0; c < cases; ++c) {
     Rng rng = Rng::stream(kMasterSeed, n, c, 1);
-    const Matrix a = random_hermitian(rng, n);
-    // Alternate solvers so both the Jacobi and the QL path face every size.
-    const EigResult r = (c % 2 == 0) ? hermitian_eig_ql(a) : hermitian_eig(a);
+    // Planted spectrum: the exact eigenvalues are the reference.
+    std::vector<real> eigs(n);
+    for (real& e : eigs) e = rng.uniform(-3.0, 3.0);
+    const Matrix a = hermitian_with_spectrum(rng, eigs);
+    const EigResult r = hermitian_eig(a);
 
     ASSERT_EQ(r.eigenvalues.size(), n) << "n=" << n << " case=" << c;
+    std::sort(eigs.begin(), eigs.end(), std::greater<>());
+    for (index_t k = 0; k < n; ++k)
+      EXPECT_NEAR(r.eigenvalues[k], eigs[k], 1e-10 * n)
+          << "n=" << n << " case=" << c << " k=" << k;
     EXPECT_TRUE(approx_equal(r.eigenvectors.adjoint() * r.eigenvectors,
                              Matrix::identity(n), 1e-9 * n))
         << "n=" << n << " case=" << c;
@@ -93,7 +102,7 @@ TEST_P(DecompositionProperty, PsdProjectionIsIdempotentAndPsd) {
     const Matrix a = random_hermitian(rng, n);
     const Matrix p = psd_project(a);
 
-    const EigResult r = hermitian_eig_ql(p);
+    const EigResult r = hermitian_eig(p);
     EXPECT_GE(r.eigenvalues.back(), -1e-9 * (1.0 + a.frobenius_norm()))
         << "n=" << n << " case=" << c;
     // Projecting a point already on the cone is a no-op.

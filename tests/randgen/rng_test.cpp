@@ -67,6 +67,19 @@ TEST(RngTest, NormalMoments) {
   EXPECT_NEAR(var, 4.0, 0.3);
 }
 
+TEST(RngTest, NormalWithZeroStddevReturnsMeanAndKeepsStream) {
+  // A zero spread is legal (stddev >= 0): it returns the mean exactly and
+  // consumes the same engine draws as a unit-spread sample, so a zero
+  // angular spread does not shift any later draw of the stream.
+  Rng zero(8), unit(8);
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(zero.normal(1.25, 0.0), 1.25);
+    unit.normal(1.25, 1.0);
+  }
+  EXPECT_EQ(zero.uniform(), unit.uniform());
+  EXPECT_EQ(zero.complex_normal(0.0), (cx{0.0, 0.0}));
+}
+
 TEST(RngTest, ComplexNormalVarianceSplit) {
   Rng rng(4);
   const int n = 20000;

@@ -144,7 +144,7 @@ TEST(ParallelDeterminismTest, SolverMetricsIdenticalAcrossThreadCounts) {
     std::string out;
     for (const char* name :
          {"estimation.ml.solves", "estimation.ml.nonconverged",
-          "estimation.nll_evals", "linalg.eig.jacobi_calls",
+          "estimation.nll_evals", "linalg.eig.ql_calls",
           "mac.session.measurements", "sim.trials"}) {
       out += name;
       out += '=';
