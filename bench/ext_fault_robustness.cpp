@@ -63,9 +63,17 @@ int main(int argc, char** argv) {
   run.manifest().add_config("budget_rate",
                             static_cast<double>(config.budget_rate));
   run.manifest().add_config("failure_loss_db",
-                            static_cast<double>(config.failure_loss_db));
+                            static_cast<double>(kFailureLossDb));
+  // E8 always re-aligns with the session's default policy.
+  const mac::Session::RealignmentPolicy realignment;
   run.manifest().add_config("collapse_db",
-                            static_cast<double>(config.realignment.collapse_db));
+                            static_cast<double>(realignment.collapse_db));
+  run.manifest().add_config(
+      "verify_fades", static_cast<std::uint64_t>(realignment.verify_fades));
+  run.manifest().add_config(
+      "max_retries", static_cast<std::uint64_t>(realignment.max_retries));
+  run.manifest().add_config(
+      "widen_radius", static_cast<std::uint64_t>(realignment.widen_radius));
 
   // The fault matrix: one failure mode per case, then all of them at once.
   // Quarantine is on everywhere so a failing trial is excluded, never

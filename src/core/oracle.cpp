@@ -1,5 +1,6 @@
 #include "core/oracle.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -57,6 +58,17 @@ real PairGainOracle::loss_db(index_t tx_beam, index_t rx_beam) const {
   const real g = gain(tx_beam, rx_beam);
   if (g <= 0.0) return std::numeric_limits<real>::infinity();
   return 10.0 * std::log10(optimal_gain_ / g);
+}
+
+real best_mean_pair_gain(const channel::Link& link,
+                         const antenna::Codebook& tx_codebook,
+                         const antenna::Codebook& rx_codebook) {
+  real best = 0.0;
+  for (index_t t = 0; t < tx_codebook.size(); ++t)
+    for (index_t r = 0; r < rx_codebook.size(); ++r)
+      best = std::max(best, link.mean_pair_gain(tx_codebook.codeword(t),
+                                                rx_codebook.codeword(r)));
+  return best;
 }
 
 }  // namespace mmw::core

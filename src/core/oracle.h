@@ -41,4 +41,11 @@ class PairGainOracle {
   real optimal_gain_ = 0.0;
 };
 
+/// The best true mean pair gain max_{t,r} link.mean_pair_gain(u_t, v_r)
+/// over the codebook product (exhaustive), without the O(T) table: the
+/// one grading number the serving and tracking engines keep per link.
+real best_mean_pair_gain(const channel::Link& link,
+                         const antenna::Codebook& tx_codebook,
+                         const antenna::Codebook& rx_codebook);
+
 }  // namespace mmw::core

@@ -146,8 +146,11 @@ class FaultPlan {
 /// keeps every reserved lane pairwise disjoint).
 inline constexpr std::uint64_t kFaultKeyBase = randgen::lanes::kFaultLaneBase;
 
-/// The fault stream of (seed, entity, trial). Single-link drivers use
-/// entity 0; the multi-cell engine uses entity = cell·users_per_cell + user.
+/// The fault stream of (seed, entity, trial), drawn by
+/// sim::draw_trial_faults. The entity is what fails independently: 0 for
+/// the single-link fig5–8 sweeps, the fault-case index in the E8
+/// robustness matrix, and cell·users_per_cell + user in the multi-cell
+/// engine.
 inline randgen::Rng fault_stream(std::uint64_t seed, std::uint64_t entity,
                                  std::uint64_t trial) {
   return randgen::Rng::stream(seed, kFaultKeyBase + entity, trial, 0);

@@ -185,54 +185,25 @@ Session::RealignmentReport Session::verify_and_realign(
   if (obs::enabled()) SessionMetrics::get().realign_checks.add();
   const real threshold =
       best->energy * std::pow(10.0, -policy.collapse_db / 10.0);
-  real best_energy = probe(best->tx_beam, best->rx_beam);
-  index_t best_tx = best->tx_beam;
-  index_t best_rx = best->rx_beam;
-  if (best_energy < threshold) {
+  MeasurementRecord found{best->tx_beam, best->rx_beam,
+                          probe(best->tx_beam, best->rx_beam)};
+  if (found.energy < threshold) {
     report.outage = true;
     if (obs::enabled()) SessionMetrics::get().realign_outages.add();
-    // Widened-beam fallback: retry r sweeps the Chebyshev window of radius
-    // r·widen_radius around the claimed pair — first the TX ring against
-    // the claimed RX beam, then the RX window against the claimed TX beam.
-    // Codeword indices wrap (the codebooks tile the angular domain).
     const index_t n_tx = tx_codebook_->size();
     const index_t n_rx = rx_codebook_->size();
     std::vector<bool> probed(n_tx * n_rx, false);
     probed[best->tx_beam * n_rx + best->rx_beam] = true;
-    auto try_pair = [&](index_t tx_beam, index_t rx_beam) {
-      if (probed[tx_beam * n_rx + rx_beam]) return false;
-      probed[tx_beam * n_rx + rx_beam] = true;
-      const real e = probe(tx_beam, rx_beam);
-      if (e > best_energy) {
-        best_energy = e;
-        best_tx = tx_beam;
-        best_rx = rx_beam;
-      }
-      return e >= threshold;
-    };
-    auto wrap = [](index_t center, long long offset, index_t size) {
-      const long long s = static_cast<long long>(size);
-      const long long i = (static_cast<long long>(center) + offset % s + s) % s;
-      return static_cast<index_t>(i);
-    };
-    for (index_t retry = 1;
-         retry <= policy.max_retries && !report.recovered; ++retry) {
-      const long long radius =
-          static_cast<long long>(retry * policy.widen_radius);
-      for (long long off = -radius;
-           off <= radius && !report.recovered; ++off) {
-        if (try_pair(wrap(best->tx_beam, off, n_tx), best->rx_beam) ||
-            try_pair(best->tx_beam, wrap(best->rx_beam, off, n_rx)))
-          report.recovered = true;
-      }
-    }
+    report.recovered =
+        rescan_windows(n_tx, n_rx, policy.max_retries, policy.widen_radius,
+                       threshold, probed, found, probe);
     if (report.recovered && obs::enabled())
       SessionMetrics::get().realign_recoveries.add();
   }
 
-  report.tx_beam = best_tx;
-  report.rx_beam = best_rx;
-  report.energy = best_energy;
+  report.tx_beam = found.tx_beam;
+  report.rx_beam = found.rx_beam;
+  report.energy = found.energy;
   return report;
 }
 

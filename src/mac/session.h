@@ -28,13 +28,6 @@
 
 namespace mmw::mac {
 
-/// One completed beam-pair measurement.
-struct MeasurementRecord {
-  index_t tx_beam = 0;   ///< index into the TX codebook (u_i)
-  index_t rx_beam = 0;   ///< index into the RX codebook (v_j)
-  real energy = 0.0;     ///< matched-filter energy |z|²
-};
-
 /// A beam-training session over one realized link.
 ///
 /// Each measure() call simulates the full chain of paper eqs. (4)–(10):
@@ -144,10 +137,9 @@ class Session {
   };
 
   /// Verifies the claimed best pair with fresh fades and, on SNR collapse
-  /// (mid-alignment blockage), retries with a widened-beam fallback: each
-  /// retry probes the union of codewords in a growing Chebyshev window
-  /// around the claimed pair (TX ring × claimed RX plus claimed TX × RX
-  /// window), keeping the best energy seen; it stops early when a probe
+  /// (mid-alignment blockage), retries with a widened-beam fallback
+  /// (mac::rescan_windows around the claimed pair, which counts as already
+  /// probed), keeping the best energy seen; it stops early when a probe
   /// clears the collapse threshold. All probes are charged to the separate
   /// recovery ledger (recovery_slots()), NOT to the training budget or
   /// records() — prefix grading of the training trajectory is untouched,

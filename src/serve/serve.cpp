@@ -6,6 +6,7 @@
 #include <sstream>
 #include <thread>
 
+#include "core/oracle.h"
 #include "estimation/beamspace.h"
 #include "linalg/kernels.h"
 #include "mac/probe.h"
@@ -248,13 +249,8 @@ void ServingEngine::admit_one(index_t site, MetricFrame& frame) {
   // The grading oracle reduced to one resident float: the best mean pair
   // gain over the codebook product (the full PairGainOracle table would be
   // O(T) per session — exactly the resident state this engine forbids).
-  real best = 0.0;
-  for (index_t tx = 0; tx < codebooks_.tx.size(); ++tx)
-    for (index_t rx = 0; rx < codebooks_.rx.size(); ++rx)
-      best = std::max(best,
-                      link.mean_pair_gain(codebooks_.tx.codeword(tx),
-                                          codebooks_.rx.codeword(rx)));
-  s.optimal_gain = static_cast<float>(best);
+  s.optimal_gain = static_cast<float>(
+      core::best_mean_pair_gain(link, codebooks_.tx, codebooks_.rx));
   ++frame.arrivals;
 }
 

@@ -2,13 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iostream>
-#include <optional>
 #include <sstream>
 
-#include "channel/temporal.h"
-#include "core/thread_pool.h"
-#include "fault/context.h"
 #include "linalg/decompositions.h"
 #include "linalg/factored.h"
 #include "obs/clock.h"
@@ -43,13 +38,6 @@ struct MultiCellMetrics {
     return m;
   }
 };
-
-index_t rate_to_budget(real rate, index_t total) {
-  MMW_REQUIRE_MSG(rate > 0.0 && rate <= 1.0,
-                  "search rate must be in (0, 1]");
-  return std::max<index_t>(1,
-                           static_cast<index_t>(std::llround(rate * total)));
-}
 
 /// Key spaces of the engine's three-key streams. A run uses
 /// Rng::stream(seed, key_a, user, trial) with key_a partitioned as:
@@ -197,20 +185,13 @@ MultiCellResult run_multicell(
         mean_interference /= static_cast<real>(interference.size());
       }
 
-      // Fault plan for this (cell, user, trial): entity key
-      // cell·users + user of the reserved fault range, so enabling faults
-      // perturbs no serving/cross/beam stream and each user fails
-      // independently of cell count and thread count.
-      std::optional<fault::FaultPlan> plan;
-      std::optional<channel::Link> degraded;
-      if (sc.faults.any()) {
-        randgen::Rng fault_rng = fault::fault_stream(
-            sc.seed, static_cast<std::uint64_t>(cell) * users + user, trial);
-        plan.emplace(fault::FaultPlan::draw(sc.faults, budget,
-                                            link.paths().size(), fault_rng));
-        if (plan->has_blockage())
-          degraded = channel::blocked_link(link, plan->path_power_scale());
-      }
+      // Fault entity cell·users + user: each user fails independently of
+      // cell count and thread count.
+      const std::optional<TrialFaults> faults = draw_trial_faults(
+          sc.faults, sc.seed, static_cast<std::uint64_t>(cell) * users + user,
+          trial, link, budget);
+      const TrialLink trial_link{link, cbs.tx, cbs.rx,
+                                 faults ? &*faults : nullptr, interference};
 
       const core::PairGainOracle oracle(link, cbs.tx, cbs.rx);
       UserOutcome out;
@@ -218,29 +199,21 @@ MultiCellResult run_multicell(
           10.0 * std::log10(1.0 + sc.gamma * mean_interference);
       out.loss_db.reserve(strategies.size());
       out.required_rate.reserve(strategies.size());
-      for (const auto* strategy : strategies) {
-        randgen::Rng run_rng = rng.fork();
-        mac::Session session(link, cbs.tx, cbs.rx, sc.gamma, budget,
-                             run_rng, sc.fades_per_measurement);
-        if (interfering) session.set_interference(interference);
-        fault::TrialFaultState fault_state;
-        std::optional<fault::ScopedTrialFaults> fault_guard;
-        if (plan) {
-          session.arm_faults(&*plan, degraded ? &*degraded : nullptr);
-          fault_state.plan = &*plan;
-          fault_guard.emplace(fault_state);
-        }
-        strategy->run(session);
-        const index_t graded = std::min<index_t>(
-            grade_budget, session.records().size());
-        out.loss_db.push_back(
-            loss_after(oracle, session.records(), graded));
-        const auto needed = measurements_to_reach(
-            oracle, session.records(), config.target_loss_db);
-        out.required_rate.push_back(
-            needed ? static_cast<real>(*needed) / static_cast<real>(total)
-                   : 1.0);
-      }
+      for (const auto* strategy : strategies)
+        run_strategy(
+            *strategy, sc, trial_link, budget, rng,
+            [&](const mac::Session& session, const fault::TrialFaultState&) {
+              const index_t graded = std::min<index_t>(
+                  grade_budget, session.records().size());
+              out.loss_db.push_back(
+                  loss_after(oracle, session.records(), graded));
+              const auto needed = measurements_to_reach(
+                  oracle, session.records(), config.target_loss_db);
+              out.required_rate.push_back(
+                  needed
+                      ? static_cast<real>(*needed) / static_cast<real>(total)
+                      : 1.0);
+            });
       if (obs::enabled()) {
         const MultiCellMetrics& m = MultiCellMetrics::get();
         m.sessions.add(static_cast<std::uint64_t>(strategies.size()));
@@ -256,32 +229,16 @@ MultiCellResult run_multicell(
     }
   };
 
-  core::ThreadPool pool(
-      std::min(core::resolve_thread_count(sc.threads), n_shards));
-  std::vector<index_t> quarantined;
-  for (const core::IterationFailure& f :
-       pool.run(n_shards, run_shard, sc.faults.quarantine_trials))
-    quarantined.push_back(f.index);
-  if (!quarantined.empty()) {
-    static const obs::Counter quarantined_counter =
-        obs::Registry::global().counter("sim.multicell.shards_quarantined");
-    if (obs::enabled()) quarantined_counter.add(quarantined.size());
-    std::cerr << "[sim] quarantined " << quarantined.size() << "/"
-              << n_shards << " multicell shards after in-shard failures\n";
-  }
-  MMW_REQUIRE_MSG(quarantined.size() < n_shards,
-                  "every shard was quarantined — nothing to summarize");
+  ShardRun run = run_shards(n_shards, sc.threads, sc.faults.quarantine_trials,
+                            "sim.multicell.shards_quarantined",
+                            "multicell shards", run_shard);
 
   // Reduce in shard-index order: parallel output == serial output.
-  // Quarantined shards hold partial data and are skipped identically at
-  // every thread count (the set is a function of the seed alone).
-  std::vector<bool> skip(n_shards, false);
-  for (const index_t s : quarantined) skip[s] = true;
   std::vector<std::vector<real>> loss(strategies.size());
   std::vector<std::vector<real>> rate(strategies.size());
   std::vector<real> inr_db;
   for (index_t s = 0; s < n_shards; ++s) {
-    if (skip[s]) continue;
+    if (run.skip[s]) continue;
     for (const UserOutcome& out : per_shard[s]) {
       for (index_t k = 0; k < strategies.size(); ++k) {
         loss[k].push_back(out.loss_db[k]);
@@ -293,8 +250,8 @@ MultiCellResult run_multicell(
 
   MultiCellResult result;
   result.cells = n_cells;
-  result.sessions_per_strategy = (n_shards - quarantined.size()) * users;
-  result.quarantined_shards = std::move(quarantined);
+  result.sessions_per_strategy = (n_shards - run.quarantined.size()) * users;
+  result.quarantined_shards = std::move(run.quarantined);
   for (index_t k = 0; k < strategies.size(); ++k) {
     const std::string name(strategies[k]->name());
     result.loss_db.emplace(name, summarize(loss[k]));

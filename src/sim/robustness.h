@@ -31,23 +31,18 @@ struct FaultCase {
 
 /// Configuration of one robustness run. scenario.faults is ignored — each
 /// FaultCase supplies its own; everything else (channel, arrays, gamma,
-/// seed, trials, threads) comes from the scenario.
+/// seed, trials, threads) comes from the scenario. Every run is verified
+/// and re-aligned with mac::Session's default RealignmentPolicy.
 struct RobustnessConfig {
   Scenario scenario;
 
   /// Training budget as a fraction of T = |U|·|V|.
   real budget_rate = 0.10;
-
-  /// Post-alignment verification/re-alignment (mac::Session). When
-  /// `realign` is false the claimed trained pair is graded as-is and no
-  /// recovery slots are spent (the ablation baseline for E8).
-  mac::Session::RealignmentPolicy realignment;
-  bool realign = true;
-
-  /// A (trial, strategy) run counts as an alignment failure when the true
-  /// loss of its final pair exceeds this threshold (dB).
-  real failure_loss_db = 10.0;
 };
+
+/// A (trial, strategy) run counts as an alignment failure when the true
+/// loss of its final pair exceeds this threshold (dB).
+inline constexpr real kFailureLossDb = 10.0;
 
 /// Pooled per-strategy outcomes of one fault case.
 struct StrategyRobustness {

@@ -1,4 +1,5 @@
-// Experiment scenarios: the paper's simulation setup in one value type.
+// Experiment scenarios: the paper's simulation setup in one value type, and
+// the Monte-Carlo trial scaffold every sim experiment is built from.
 //
 // Ownership / thread-safety: Scenario is a plain value type (cheap to copy,
 // no hidden references); the experiment drivers take it by const& and never
@@ -8,11 +9,17 @@
 // share no state and are safe to run on different threads.
 #pragma once
 
-#include <memory>
+#include <functional>
+#include <optional>
+#include <span>
+#include <string_view>
+#include <vector>
 
 #include "antenna/codebook.h"
 #include "channel/models.h"
 #include "core/oracle.h"
+#include "core/strategy.h"
+#include "fault/context.h"
 #include "fault/fault.h"
 #include "mac/session.h"
 
@@ -114,5 +121,93 @@ channel::Link make_scenario_link(const Scenario& scenario, randgen::Rng& rng);
 /// Draws the trial-specific link and builds codebooks/oracle. Composes the
 /// two helpers above; same thread-safety contract.
 TrialContext make_trial(const Scenario& scenario, randgen::Rng& rng);
+
+// -- The trial scaffold -----------------------------------------------------
+// One copy of what every Monte-Carlo experiment does around a trial
+// (DESIGN.md §7, §11): turn a rate into a slot budget, draw the trial's
+// fault realization, run each strategy on its own Session, and spread the
+// trials (or shards) over the pool with quarantine. Its callers are
+// run_search_effectiveness, run_cost_efficiency, run_multicell and
+// run_fault_robustness.
+
+/// Slots in the fraction `rate` ∈ (0, 1] of `total` pairs (at least one).
+index_t rate_to_budget(real rate, index_t total);
+
+/// One trial's fault realization, shared by every strategy run on its link
+/// (fairness: the same blockage onset, dropped slots and stressed solves).
+struct TrialFaults {
+  fault::FaultPlan plan;
+  std::optional<channel::Link> degraded;  ///< post-onset link iff blockage
+};
+
+/// Draws the fault realization of (seed, entity, trial) for `link` over
+/// `budget` slots from fault::fault_stream — the reserved key range, so no
+/// measurement stream moves. The entity is what fails independently (see
+/// fault::fault_stream). nullopt when `config` injects nothing, which
+/// keeps clean runs on their pre-fault code path.
+std::optional<TrialFaults> draw_trial_faults(const fault::FaultConfig& config,
+                                             std::uint64_t seed,
+                                             std::uint64_t entity,
+                                             index_t trial,
+                                             const channel::Link& link,
+                                             index_t budget);
+
+/// What the strategy runs of one trial share, all borrowed: the link, its
+/// codebooks, the trial's faults (null = clean) and the per-RX-beam
+/// interference floor (empty = none, see mac::Session::set_interference).
+struct TrialLink {
+  const channel::Link& link;
+  const antenna::Codebook& tx;
+  const antenna::Codebook& rx;
+  const TrialFaults* faults = nullptr;
+  std::span<const real> interference = {};
+};
+
+/// Runs `strategy` on a fresh mac::Session over `trial` with `budget` slots
+/// and the scenario's γ and fades, drawing from rng.fork() — one fork per
+/// call, so a trial's runs fork in strategy order. Under faults the plan is
+/// armed on the session and a fault context is scoped around the run and
+/// the grading. Then calls grade(session, tallies) with the live session
+/// and the run's fault tallies (rung histogram, stressed solves).
+template <typename Grade>
+void run_strategy(const core::AlignmentStrategy& strategy,
+                  const Scenario& scenario, const TrialLink& trial,
+                  index_t budget, randgen::Rng& rng, Grade&& grade) {
+  randgen::Rng run_rng = rng.fork();
+  mac::Session session(trial.link, trial.tx, trial.rx, scenario.gamma,
+                       budget, run_rng, scenario.fades_per_measurement);
+  if (!trial.interference.empty())
+    session.set_interference(
+        {trial.interference.begin(), trial.interference.end()});
+  fault::TrialFaultState tallies;
+  std::optional<fault::ScopedTrialFaults> scope;
+  if (trial.faults != nullptr) {
+    const auto& degraded = trial.faults->degraded;
+    session.arm_faults(&trial.faults->plan, degraded ? &*degraded : nullptr);
+    tallies.plan = &trial.faults->plan;
+    scope.emplace(tallies);
+  }
+  strategy.run(session);
+  grade(session, tallies);
+}
+
+/// Which shards of a run_shards call were quarantined.
+struct ShardRun {
+  std::vector<index_t> quarantined;  ///< ascending
+  std::vector<bool> skip;            ///< skip[s] ⇔ shard s quarantined
+};
+
+/// Runs shard(s) for every s in [0, n) over a pool of `threads`
+/// (Scenario::threads semantics, capped at n). A shard writes only its own
+/// slot and the caller reduces in shard order, passing over `skip`, so
+/// every thread count gives the same bytes. With `quarantine` a shard that
+/// throws is recorded instead of aborting the run (its slot may be
+/// partial), counted on the obs counter `counter` and reported on stderr
+/// as "quarantined k/n <what>"; without it the lowest-index failure
+/// propagates (core::ThreadPool::run). Throws precondition_error when
+/// every shard was quarantined.
+ShardRun run_shards(index_t n, index_t threads, bool quarantine,
+                    const char* counter, std::string_view what,
+                    const std::function<void(index_t)>& shard);
 
 }  // namespace mmw::sim

@@ -6,6 +6,7 @@
 #include <optional>
 #include <sstream>
 
+#include "core/oracle.h"
 #include "core/thread_pool.h"
 #include "obs/digest.h"
 #include "obs/metrics.h"
@@ -62,18 +63,6 @@ struct Frame {
     loss.merge(o.loss);
   }
 };
-
-/// Oracle: the best mean pair gain over the codebook product at this
-/// epoch's link (exhaustive — the grading reference, not a strategy).
-real oracle_best_gain(const channel::Link& link,
-                      const sim::CodebookPair& codebooks) {
-  real best = 0.0;
-  for (index_t t = 0; t < codebooks.tx.size(); ++t)
-    for (index_t r = 0; r < codebooks.rx.size(); ++r)
-      best = std::max(best, link.mean_pair_gain(codebooks.tx.codeword(t),
-                                                codebooks.rx.codeword(r)));
-  return best;
-}
 
 /// One (tracker, user) shard: the user's whole journey, sequential in
 /// epochs (trackers are stateful), independent of every other shard.
@@ -134,7 +123,8 @@ void run_shard(const TrackingConfig& config, const sim::Topology& topology,
 
     frame.probes_total += report.probes;
     if (epoch < config.warmup_epochs) continue;
-    const real best = oracle_best_gain(link, codebooks);
+    const real best =
+        core::best_mean_pair_gain(link, codebooks.tx, codebooks.rx);
     const real claimed =
         link.mean_pair_gain(codebooks.tx.codeword(report.tx_beam),
                             codebooks.rx.codeword(report.rx_beam));

@@ -249,7 +249,8 @@ class WarmMlTracker final : public Tracker {
 };
 
 // ---------------------------------------------------------------------------
-// Neighborhood re-scan (the PR-6 widened-window recovery as a tracker).
+// Neighborhood re-scan (the session's widened-window recovery as a
+// tracker).
 class NeighborhoodTracker final : public Tracker {
  public:
   explicit NeighborhoodTracker(const TrackerOptions& options)
@@ -298,9 +299,7 @@ class NeighborhoodTracker final : public Tracker {
     }
     report.outage = true;
     report.realigned = true;
-    best_energy_ = e;
-    best_tx_ = state_.tx_beam;
-    best_rx_ = state_.rx_beam;
+    best_ = {state_.tx_beam, state_.rx_beam, e};
     report.probes += scan_windows(ctx, options_.max_retries);
     report.tx_beam = state_.tx_beam;
     report.rx_beam = state_.rx_beam;
@@ -317,11 +316,11 @@ class NeighborhoodTracker final : public Tracker {
   }
 
  private:
-  /// The PR-6 shape: retry r sweeps the Chebyshev window of radius
-  /// r·widen_radius around the claimed pair — the TX ring against the
-  /// claimed RX beam, then the claimed TX against the RX window, indices
-  /// wrapping — and stops at the first recovery; exhausting every retry
-  /// falls back to a full sweep. Returns probes spent, updates state_.
+  /// The widened-window rescan (mac::rescan_windows) around the claimed
+  /// pair; exhausting every retry falls back to a full sweep. Unlike
+  /// Session::verify_and_realign the ledger starts empty, so after an
+  /// outage the first window re-probes the pair just verified. Returns
+  /// probes spent, updates state_.
   index_t scan_windows(const TrackerContext& ctx, index_t retries) {
     const index_t m = ctx.tx_codebook->size();
     const index_t n = ctx.rx_codebook->size();
@@ -329,53 +328,30 @@ class NeighborhoodTracker final : public Tracker {
         state_.trained_energy > 0.0
             ? state_.trained_energy * collapse_scale(options_)
             : std::numeric_limits<real>::infinity();
-    if (best_energy_ < 0.0) {
-      best_tx_ = state_.tx_beam;
-      best_rx_ = state_.rx_beam;
+    if (best_.energy < 0.0) {
+      best_.tx_beam = state_.tx_beam;
+      best_.rx_beam = state_.rx_beam;
     }
     index_t probes = 0;
-    bool recovered = false;
     probed_.assign(m * n, false);
-    const auto wrap = [](index_t center, long long off, index_t size) {
-      const long long s = static_cast<long long>(size);
-      const long long i = (static_cast<long long>(center) + off % s + s) % s;
-      return static_cast<index_t>(i);
-    };
-    const auto try_pair = [&](index_t t, index_t r) {
-      if (probed_[t * n + r]) return false;
-      probed_[t * n + r] = true;
-      const real e = rig_.probe(ctx, t, r);
-      ++probes;
-      if (e > best_energy_) {
-        best_energy_ = e;
-        best_tx_ = t;
-        best_rx_ = r;
-      }
-      return e >= threshold;
-    };
-    for (index_t retry = 1; retry <= retries && !recovered; ++retry) {
-      const long long radius =
-          static_cast<long long>(retry * options_.widen_radius);
-      for (long long off = -radius; off <= radius && !recovered; ++off) {
-        if (try_pair(wrap(state_.tx_beam, off, m), state_.rx_beam) ||
-            try_pair(state_.tx_beam, wrap(state_.rx_beam, off, n)))
-          recovered = true;
-      }
-    }
+    const bool recovered = mac::rescan_windows(
+        m, n, retries, options_.widen_radius, threshold, probed_, best_,
+        [&](index_t t, index_t r) {
+          ++probes;
+          return rig_.probe(ctx, t, r);
+        });
     if (!recovered && state_.trained_energy > 0.0) {
       // The window missed: the pair moved further than drift explains.
       const SweepOutcome sweep = full_sweep(ctx, rig_, rx_excess_);
       probes += sweep.probes;
-      best_energy_ = sweep.energy;
-      best_tx_ = sweep.tx;
-      best_rx_ = sweep.rx;
+      best_ = {sweep.tx, sweep.rx, sweep.energy};
       state_.components =
           components_from_excess(rx_excess_, options_.max_components);
     }
-    state_.tx_beam = best_tx_;
-    state_.rx_beam = best_rx_;
-    state_.trained_energy = best_energy_;
-    best_energy_ = -1.0;
+    state_.tx_beam = best_.tx_beam;
+    state_.rx_beam = best_.rx_beam;
+    state_.trained_energy = best_.energy;
+    best_.energy = -1.0;
     return probes;
   }
 
@@ -384,8 +360,7 @@ class NeighborhoodTracker final : public Tracker {
   BeamState state_;
   bool aligned_ = false;
   bool reacquire_ = false;
-  real best_energy_ = -1.0;
-  index_t best_tx_ = 0, best_rx_ = 0;
+  mac::MeasurementRecord best_{0, 0, -1.0};  ///< energy < 0: unseeded
   std::vector<bool> probed_;
   std::vector<real> rx_excess_;
 };

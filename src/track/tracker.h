@@ -13,8 +13,9 @@
 //    the resident beam-space prior (estimation/beamspace expand/compress,
 //    the PR-8 codec).
 //  - kNeighborhood: verify one probe per epoch; on collapse, re-scan
-//    widening Chebyshev windows around the last pair (the PR-6
-//    verify_and_realign shape), falling back to a full sweep.
+//    widening Chebyshev windows around the last pair (mac::rescan_windows,
+//    the loop of Session::verify_and_realign), falling back to a full
+//    sweep.
 //  - kBanditUcb: a correlated UCB bandit over beam pairs with exponential
 //    forgetting and neighbor-discounted reward sharing; the arm prior is
 //    seeded from the factored Q̂ beam scores carried through handover.

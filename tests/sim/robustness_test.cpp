@@ -1,7 +1,8 @@
 // Quarantine + fault-robustness determinism: a trial that throws under
 // faults.quarantine_trials must be excluded IDENTICALLY at every thread
-// count, and the E8 robustness matrix must render byte-identical CSVs
-// serial and parallel. See DESIGN.md §11.
+// count by every experiment built on the trial scaffold (sim/scenario.h), and
+// the E8 robustness matrix must render byte-identical CSVs serial and
+// parallel. See DESIGN.md §11.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,6 +12,7 @@
 #include "obs/flight.h"
 #include "obs/obs.h"
 #include "sim/experiments.h"
+#include "sim/multicell.h"
 #include "sim/robustness.h"
 
 namespace mmw::sim {
@@ -89,6 +91,29 @@ TEST(QuarantineTest, FailedTrialsExcludedIdenticallyAcrossThreadCounts) {
         render_csv("search_rate", serial.search_rates, serial.loss_db),
         render_csv("search_rate", parallel.search_rates, parallel.loss_db));
   }
+
+  // run_cost_efficiency shares the scaffold: the same containment.
+  const std::vector<real> targets{6.0, 3.0};
+  auto run_cost = [&](index_t threads) {
+    Scenario sc = tiny_scenario(threads);
+    sc.faults.drop_probability = 0.4;
+    sc.faults.quarantine_trials = true;
+    return run_cost_efficiency(sc, strategies, targets);
+  };
+  const CostEfficiencyResult cost_serial = run_cost(1);
+  ASSERT_FALSE(cost_serial.quarantined_trials.empty());
+  ASSERT_LT(cost_serial.quarantined_trials.size(), tiny_scenario(1).trials);
+  for (const auto& [name, summaries] : cost_serial.required_rate)
+    for (const Summary& s : summaries)
+      EXPECT_EQ(s.count, tiny_scenario(1).trials -
+                             cost_serial.quarantined_trials.size())
+          << name;
+  for (const index_t threads : {index_t{2}, index_t{8}}) {
+    const CostEfficiencyResult parallel = run_cost(threads);
+    EXPECT_EQ(cost_serial.quarantined_trials, parallel.quarantined_trials);
+    EXPECT_EQ(render_csv("target_loss_db", targets, cost_serial.required_rate),
+              render_csv("target_loss_db", targets, parallel.required_rate));
+  }
 }
 
 TEST(QuarantineTest, FailureAtOneThreadDumpsFlightRecorderOnce) {
@@ -137,6 +162,47 @@ TEST(QuarantineTest, AllTrialsFailingIsAnError) {
                precondition_error);
 }
 
+/// 3 cells × 2 users × 3 trials = 9 (cell × trial) shards under drops and
+/// quarantine.
+MultiCellConfig tiny_multicell(index_t threads) {
+  MultiCellConfig config;
+  config.topology.cells = 3;
+  config.topology.users_per_cell = 2;
+  config.scenario = tiny_scenario(threads);
+  config.scenario.trials = 3;
+  config.scenario.faults.drop_probability = 0.4;
+  config.scenario.faults.quarantine_trials = true;
+  return config;
+}
+
+TEST(QuarantineTest, MulticellShardsExcludedIdenticallyAcrossThreadCounts) {
+  DropSensitiveSearch fragile;
+  core::ScanSearch scan;
+  const std::vector<const core::AlignmentStrategy*> strategies{&fragile,
+                                                               &scan};
+  const MultiCellResult serial = run_multicell(tiny_multicell(1), strategies);
+  // Some shards hold a user whose first slot dropped, some do not (a
+  // seed-dependent fact, as in the single-link test above).
+  ASSERT_FALSE(serial.quarantined_shards.empty());
+  ASSERT_LT(serial.quarantined_shards.size(), 9u);
+  EXPECT_EQ(serial.sessions_per_strategy,
+            (9 - serial.quarantined_shards.size()) * 2);
+  for (const auto& [name, s] : serial.loss_db)
+    EXPECT_EQ(s.count, serial.sessions_per_strategy) << name;
+  const std::string csv = render_multicell_csv("cells", {3}, {serial});
+  for (const index_t threads : {index_t{3}, index_t{8}}) {
+    const MultiCellResult parallel =
+        run_multicell(tiny_multicell(threads), strategies);
+    EXPECT_EQ(serial.quarantined_shards, parallel.quarantined_shards);
+    EXPECT_EQ(csv, render_multicell_csv("cells", {3}, {parallel}));
+  }
+}
+
+TEST(QuarantineTest, MulticellAllShardsFailingIsAnError) {
+  AlwaysThrowSearch bad;
+  EXPECT_THROW(run_multicell(tiny_multicell(2), {&bad}), precondition_error);
+}
+
 TEST(RobustnessMatrixTest, CsvByteIdenticalAcrossThreadCounts) {
   core::RandomSearch rnd;
   core::ScanSearch scan;
@@ -150,17 +216,40 @@ TEST(RobustnessMatrixTest, CsvByteIdenticalAcrossThreadCounts) {
   cases[2].faults.blockage_probability = 1.0;
   cases[2].faults.blockage_attenuation_db = 25.0;
 
-  auto run = [&](index_t threads) {
+  auto run = [&](index_t threads,
+                 const std::vector<const core::AlignmentStrategy*>& runs,
+                 const std::vector<FaultCase>& matrix) {
     RobustnessConfig config;
     config.scenario = tiny_scenario(threads);
     config.scenario.trials = 6;
     config.budget_rate = 0.25;
-    return run_fault_robustness(config, strategies, cases);
+    return run_fault_robustness(config, runs, matrix);
   };
-  const auto serial = run(1);
+  const auto serial = run(1, strategies, cases);
   ASSERT_EQ(serial.size(), 3u);
   const std::string csv = render_robustness_csv(serial);
-  EXPECT_EQ(csv, render_robustness_csv(run(3)));
+  EXPECT_EQ(csv, render_robustness_csv(run(3, strategies, cases)));
+
+  // A drops + quarantine case run by DropSensitiveSearch: the trials whose
+  // first slot dropped are excluded, the same ones at every thread count.
+  DropSensitiveSearch fragile;
+  const std::vector<const core::AlignmentStrategy*> fragile_runs{&fragile,
+                                                                 &scan};
+  std::vector<FaultCase> quarantine_case(1);
+  quarantine_case[0].name = "drops_quarantined";
+  quarantine_case[0].faults.drop_probability = 0.4;
+  quarantine_case[0].faults.quarantine_trials = true;
+  const auto contained = run(1, fragile_runs, quarantine_case);
+  ASSERT_GT(contained[0].quarantined, 0u);
+  ASSERT_LT(contained[0].quarantined, 6u);
+  for (const auto& [name, r] : contained[0].by_strategy)
+    EXPECT_EQ(r.trials, 6u - contained[0].quarantined) << name;
+  for (const index_t threads : {index_t{3}, index_t{8}}) {
+    const auto parallel = run(threads, fragile_runs, quarantine_case);
+    EXPECT_EQ(parallel[0].quarantined, contained[0].quarantined);
+    EXPECT_EQ(render_robustness_csv(parallel),
+              render_robustness_csv(contained));
+  }
 
   // A static link with no faults cannot collapse post-training: the clean
   // column must report zero outages and spend exactly one verify slot.
@@ -185,22 +274,6 @@ TEST(RobustnessMatrixTest, CsvByteIdenticalAcrossThreadCounts) {
     clean_slots += r.recovery_slots.mean;
   EXPECT_GT(blockage_outages, 0.0);
   EXPECT_GT(blockage_slots, clean_slots);
-}
-
-TEST(RobustnessMatrixTest, RealignOffSpendsNoRecoverySlots) {
-  core::ScanSearch scan;
-  std::vector<FaultCase> cases(1);
-  cases[0].name = "clean";
-  RobustnessConfig config;
-  config.scenario = tiny_scenario(1);
-  config.scenario.trials = 4;
-  config.budget_rate = 0.25;
-  config.realign = false;
-  const auto results = run_fault_robustness(config, {&scan}, cases);
-  ASSERT_EQ(results.size(), 1u);
-  const auto& r = results[0].by_strategy.at("Scan");
-  EXPECT_EQ(r.recovery_slots.mean, 0.0);
-  EXPECT_EQ(r.outage_rate, 0.0);
 }
 
 }  // namespace
