@@ -36,7 +36,6 @@ struct SlotMetrics {
 using antenna::Codebook;
 using estimation::BeamMeasurement;
 using linalg::FactoredHermitian;
-using linalg::Matrix;
 using mac::Session;
 
 void RandomSearch::run(Session& session) const {
@@ -99,27 +98,18 @@ ProposedAlignment::ProposedAlignment(ProposedOptions options)
 }
 
 void ProposedAlignment::run(Session& session) const {
-  linalg::Matrix state;  // no prior
-  run_with_state(session, state);
-}
-
-void ProposedAlignment::run_with_state(Session& session,
-                                       linalg::Matrix& covariance) const {
   const Codebook& rx_cb = session.rx_codebook();
   const index_t n = rx_cb.codeword(0).size();
-  MMW_REQUIRE_MSG(covariance.empty() ||
-                      (covariance.rows() == n && covariance.cols() == n),
-                  "prior covariance has the wrong shape");
 
   estimation::CovarianceMlOptions est = options_.estimator;
   est.gamma = session.gamma();
 
   // Estimates stay in factored form end-to-end: the solvers return B Q_r Bᴴ
   // and every downstream consumer (codebook scoring, probe ranking) goes
-  // through the factor, so the N×N lift happens only for the exported
-  // tracking state. All solves route through the degradation ladder
-  // (estimation/robust.h): with no fault context armed this is
-  // bit-identical to calling the configured estimator directly.
+  // through the factor, so Q̂ is never lifted to N×N; it is only carried
+  // to the next slot (Algorithm 1). All solves route through the
+  // degradation ladder (estimation/robust.h): with no fault context armed
+  // this is bit-identical to calling the configured estimator directly.
   const auto estimate =
       [&](std::span<const BeamMeasurement> ms) -> FactoredHermitian {
     return estimation::robust_estimate_covariance(
@@ -144,19 +134,6 @@ void ProposedAlignment::run_with_state(Session& session,
   const real beam_floor = options_.exploration_floor / session.gamma();
 
   std::optional<FactoredHermitian> q_prev;
-  if (!covariance.empty())
-    q_prev = FactoredHermitian::from_dense(covariance);
-  // An externally supplied prior is stale by construction (it survived a
-  // channel drift and was conditioned on a different TX beam), so it only
-  // drives half of the first slot's probes; in-frame estimates, which are
-  // fresh, drive all of them.
-  bool prior_is_external = q_prev.has_value();
-  // Exported tracking state: the running average of the per-slot estimates.
-  // Each slot's Q̂ is conditioned on that slot's TX beam; the average over
-  // slots approximates the full RX covariance E[HHᴴ], which is what remains
-  // valid for the NEXT alignment epoch under a different TX beam order.
-  Matrix state_accum;
-  index_t state_slots = 0;
   index_t slot = 0;
   index_t idle_slots = 0;  // consecutive TX beams with nothing left
   // One score buffer for every slot of the run: covariance_scores_into
@@ -190,8 +167,6 @@ void ProposedAlignment::run_with_state(Session& session,
     probes.reserve(j_explore);
     std::vector<bool> picked(rx_cb.size(), false);
     if (q_prev.has_value()) {
-      const index_t score_budget =
-          prior_is_external ? (j_explore + 1) / 2 : j_explore;
       rx_cb.covariance_scores_into(*q_prev, scores);
       std::vector<index_t> order = unmeasured;
       // Ties break by lowest codeword index (std::sort is unstable); see
@@ -200,7 +175,7 @@ void ProposedAlignment::run_with_state(Session& session,
         return scores[a] != scores[b] ? scores[a] > scores[b] : a < b;
       });
       for (const index_t v : order) {
-        if (probes.size() == score_budget || scores[v] <= beam_floor) break;
+        if (probes.size() == j_explore || scores[v] <= beam_floor) break;
         probes.push_back(v);
         picked[v] = true;
       }
@@ -250,15 +225,7 @@ void ProposedAlignment::run_with_state(Session& session,
       m.measurements.record(static_cast<real>(slot_measurements.size()));
       m.estimated_rank.record(static_cast<real>(q_hat.rank()));
     }
-
-    if (state_accum.empty())
-      state_accum = q_hat.dense();
-    else
-      state_accum += q_hat.dense();
-    ++state_slots;
-    covariance = state_accum / cx{static_cast<real>(state_slots), 0.0};
     q_prev = std::move(q_hat);
-    prior_is_external = false;
   }
 }
 

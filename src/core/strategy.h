@@ -9,10 +9,9 @@
 // per-run state on the stack, so ONE strategy instance may drive MANY
 // sessions concurrently from different threads — the Monte-Carlo drivers in
 // sim/experiments.h rely on exactly this. All randomness comes from the
-// session's Rng, never from strategy members. The one exception is
-// ProposedAlignment::run_with_state(), whose `covariance` in/out parameter
-// is caller-owned mutable state: concurrent calls must pass distinct
-// matrices.
+// session's Rng, never from strategy members. State that outlives one
+// alignment (a tracked beam pair, a carried covariance prior) belongs to
+// track::Tracker, not to these strategies.
 //
 // Units: measured energies are linear matched-filter powers |z|²; SNR-loss
 // grading is in dB (core::PairGainOracle::loss_db); the session's gamma is
@@ -117,17 +116,6 @@ class ProposedAlignment final : public AlignmentStrategy {
   explicit ProposedAlignment(ProposedOptions options = {});
   std::string_view name() const override { return "Proposed"; }
   void run(mac::Session& session) const override;
-
-  /// Stateful variant for beam tracking across re-alignment epochs: the
-  /// incoming `covariance` (empty matrix = no prior) seeds half of the
-  /// first slot's probe selection (an external prior is stale by
-  /// construction, so its influence is bounded), and the average of this
-  /// run's per-slot estimates — an approximation of the full RX covariance
-  /// E[HHᴴ] — is written back. Measured effect at ~1°/frame drift: roughly
-  /// cost-neutral versus cold re-alignment (see examples/mobility_tracking);
-  /// exposed so downstream trackers can build on it.
-  void run_with_state(mac::Session& session,
-                      linalg::Matrix& covariance) const;
 
  private:
   ProposedOptions options_;

@@ -262,70 +262,17 @@ void check_measurements(index_t n,
     MMW_REQUIRE_MSG(m.beam.size() == n, "beam dimension mismatch");
 }
 
-}  // namespace
-
-CovarianceMlResult estimate_covariance_ml(
-    index_t n, std::span<const BeamMeasurement> measurements,
-    const CovarianceMlOptions& opts) {
-  check_measurements(n, measurements);
-  MMW_REQUIRE(opts.mu >= 0.0);
-  MMW_REQUIRE(opts.gamma > 0.0);
-  MMW_REQUIRE(opts.max_iterations > 0);
-
-  CovarianceMlResult result;
-  const ReducedProblem rp = reduce_to_beam_span(measurements);
-  if (rp.basis.size() == n) {
-    // Beams already span the full space; no reduction possible.
-    SolveResult full = solve_full(n, measurements, opts);
-    result.q = FactoredHermitian::from_dense(std::move(full.q));
-    result.objective = full.objective;
-    result.iterations = full.iterations;
-    result.converged = full.converged;
-    record_ml_solve(full, result);
-    return result;
-  }
-  SolveResult red = solve_full(rp.basis.size(), rp.reduced, opts);
-  result.q = FactoredHermitian(rp.basis_matrix(n), std::move(red.q));
-  result.objective = red.objective;
-  result.iterations = red.iterations;
-  result.converged = red.converged;
-  record_ml_solve(red, result);
-  return result;
-}
-
-CovarianceMlResult estimate_covariance_ml_warm(
-    index_t n, std::span<const BeamMeasurement> measurements,
-    const CovarianceMlOptions& opts,
-    const linalg::FactoredHermitian& prior) {
-  if (prior.empty()) return estimate_covariance_ml(n, measurements, opts);
-  check_measurements(n, measurements);
-  MMW_REQUIRE_MSG(prior.dim() == n, "prior dimension mismatch");
-  MMW_REQUIRE(opts.mu >= 0.0);
-  MMW_REQUIRE(opts.gamma > 0.0);
-  MMW_REQUIRE(opts.max_iterations > 0);
-
-  CovarianceMlResult result;
-  const ReducedProblem rp = reduce_to_beam_span(measurements);
-  if (rp.basis.size() == n) {
-    const Matrix init = prior.dense();
-    SolveResult full = solve_full(n, measurements, opts, &init);
-    result.q = FactoredHermitian::from_dense(std::move(full.q));
-    result.objective = full.objective;
-    result.iterations = full.iterations;
-    result.converged = full.converged;
-    record_ml_solve(full, result);
-    return result;
-  }
-  // Project the prior into the measured beam span: q₀(k,l) = b_kᴴ(Q b_l).
-  // The compression B Bᴴ Q B Bᴴ of a PSD prior is PSD, so the solver starts
-  // inside its feasible cone. Explicit Hermitization kills the rounding
-  // asymmetry of computing the two triangles from separate apply() calls.
-  const index_t r = rp.basis.size();
+/// Projects a prior into the measured beam span: q₀(k,l) = b_kᴴ(Q b_l).
+/// The compression B Bᴴ Q B Bᴴ of a PSD prior is PSD, so the solver starts
+/// inside its feasible cone. Explicit Hermitization kills the rounding
+/// asymmetry of computing the two triangles from separate apply() calls.
+Matrix project_prior(const FactoredHermitian& prior,
+                     const std::vector<Vector>& basis) {
+  const index_t r = basis.size();
   Matrix init(r, r);
   for (index_t l = 0; l < r; ++l) {
-    const Vector ql = prior.apply(rp.basis[l]);
-    for (index_t k = 0; k < r; ++k)
-      init(k, l) = linalg::dot(rp.basis[k], ql);
+    const Vector ql = prior.apply(basis[l]);
+    for (index_t k = 0; k < r; ++k) init(k, l) = linalg::dot(basis[k], ql);
   }
   for (index_t k = 0; k < r; ++k) {
     init(k, k) = cx{init(k, k).real(), 0.0};
@@ -335,13 +282,58 @@ CovarianceMlResult estimate_covariance_ml_warm(
       init(l, k) = std::conj(avg);
     }
   }
-  SolveResult red = solve_full(r, rp.reduced, opts, &init);
-  result.q = FactoredHermitian(rp.basis_matrix(n), std::move(red.q));
-  result.objective = red.objective;
-  result.iterations = red.iterations;
-  result.converged = red.converged;
-  record_ml_solve(red, result);
+  return init;
+}
+
+/// The one covariance-ML solve behind both public entry points: reduce to
+/// the beam span (unless the beams already span the full space), solve,
+/// wrap the estimate in factored form. An empty prior starts from the
+/// moment estimate; a non-empty one is the solver's first iterate.
+CovarianceMlResult solve_ml(index_t n,
+                            std::span<const BeamMeasurement> measurements,
+                            const CovarianceMlOptions& opts,
+                            const FactoredHermitian& prior) {
+  check_measurements(n, measurements);
+  MMW_REQUIRE_MSG(prior.empty() || prior.dim() == n,
+                  "prior dimension mismatch");
+  MMW_REQUIRE(opts.mu >= 0.0);
+  MMW_REQUIRE(opts.gamma > 0.0);
+  MMW_REQUIRE(opts.max_iterations > 0);
+
+  const ReducedProblem rp = reduce_to_beam_span(measurements);
+  const bool full_span = rp.basis.size() == n;
+  Matrix init;
+  if (!prior.empty())
+    init = full_span ? prior.dense() : project_prior(prior, rp.basis);
+  const Matrix* start = prior.empty() ? nullptr : &init;
+  SolveResult solve =
+      full_span ? solve_full(n, measurements, opts, start)
+                : solve_full(rp.basis.size(), rp.reduced, opts, start);
+
+  CovarianceMlResult result;
+  result.q = full_span
+                 ? FactoredHermitian::from_dense(std::move(solve.q))
+                 : FactoredHermitian(rp.basis_matrix(n), std::move(solve.q));
+  result.objective = solve.objective;
+  result.iterations = solve.iterations;
+  result.converged = solve.converged;
+  record_ml_solve(solve, result);
   return result;
+}
+
+}  // namespace
+
+CovarianceMlResult estimate_covariance_ml(
+    index_t n, std::span<const BeamMeasurement> measurements,
+    const CovarianceMlOptions& opts) {
+  return solve_ml(n, measurements, opts, FactoredHermitian{});
+}
+
+CovarianceMlResult estimate_covariance_ml_warm(
+    index_t n, std::span<const BeamMeasurement> measurements,
+    const CovarianceMlOptions& opts,
+    const linalg::FactoredHermitian& prior) {
+  return solve_ml(n, measurements, opts, prior);
 }
 
 CovarianceMlResult estimate_covariance_em(

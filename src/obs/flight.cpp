@@ -7,33 +7,11 @@
 #include "obs/json.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
-#include "obs/obs.h"
+#include "obs/trace.h"
 
 namespace mmw::obs {
 
-/// Per-thread fixed ring. The mutex is only contended when a snapshot or
-/// clear races ongoing recording; recorder-vs-recorder is impossible.
-struct FlightRecorder::Ring {
-  mutable std::mutex mutex;
-  std::uint64_t ordinal = 0;   ///< thread ordinal at first record
-  std::uint64_t sequence = 0;  ///< registration order (merge tiebreak)
-  std::vector<FlightEvent> slots;
-  index_t head = 0;   ///< next slot to overwrite
-  index_t count = 0;  ///< live entries (≤ slots.size())
-};
-
 namespace {
-
-struct TlsRings {
-  // shared_ptr<void>: Ring is private to FlightRecorder; ownership is what
-  // matters here, the type is recovered at the lookup site.
-  std::vector<std::pair<const FlightRecorder*, std::shared_ptr<void>>>
-      entries;
-};
-TlsRings& tls_rings() {
-  thread_local TlsRings tls;
-  return tls;
-}
 
 std::string sanitize_reason(std::string_view reason) {
   std::string out;
@@ -52,82 +30,37 @@ FlightRecorder& FlightRecorder::global() {
 }
 
 FlightRecorder::FlightRecorder(index_t capacity)
-    : capacity_(std::max<index_t>(capacity, 1)) {}
-
-FlightRecorder::~FlightRecorder() {
-  auto& entries = tls_rings().entries;
-  std::erase_if(entries, [this](const auto& e) { return e.first == this; });
-}
-
-FlightRecorder::Ring& FlightRecorder::local_ring() {
-  auto& entries = tls_rings().entries;
-  for (auto& [recorder, ring] : entries)
-    if (recorder == this) return *static_cast<Ring*>(ring.get());
-
-  auto ring = std::make_shared<Ring>();
-  ring->ordinal = thread_ordinal();
-  ring->slots.resize(capacity_);
-  {
-    std::lock_guard lock(mutex_);
-    ring->sequence = next_sequence_++;
-    rings_.push_back(ring);
-  }
-  entries.emplace_back(this, ring);
-  return *ring;
-}
+    : rings_(Ring{std::vector<FlightEvent>(std::max<index_t>(capacity, 1))}) {}
 
 void FlightRecorder::record(const char* name, const char* category,
                             std::uint64_t ts_us, std::uint64_t dur_us) {
   if (!armed()) return;
-  Ring& ring = local_ring();
-  std::lock_guard lock(ring.mutex);
-  ring.slots[ring.head] = FlightEvent{name, category, ts_us, dur_us};
-  ring.head = (ring.head + 1) % ring.slots.size();
-  if (ring.count < ring.slots.size()) ++ring.count;
+  rings_.with_local([&](Ring& ring) {
+    ring.slots[ring.head] = FlightEvent{name, category, ts_us, dur_us};
+    ring.head = (ring.head + 1) % ring.slots.size();
+    if (ring.count < ring.slots.size()) ++ring.count;
+  });
 }
 
 std::string FlightRecorder::chrome_json(std::string_view reason) const {
-  std::vector<std::shared_ptr<Ring>> rings;
-  {
-    std::lock_guard lock(mutex_);
-    rings = rings_;
-  }
-  std::sort(rings.begin(), rings.end(), [](const auto& a, const auto& b) {
-    if (a->ordinal != b->ordinal) return a->ordinal < b->ordinal;
-    return a->sequence < b->sequence;
-  });
-
   JsonWriter w;
   w.begin_object();
   w.key("traceEvents");
   w.begin_array();
-  for (const auto& ring : rings) {
-    std::lock_guard lock(ring->mutex);
-    const std::uint64_t tid = ring->ordinal;
+  rings_.for_each([&](const Ring& ring, std::uint64_t ordinal) {
     // Oldest-first: the ring's logical start is `head` when full, 0 before.
-    const index_t n = ring->count;
-    const index_t start =
-        n == ring->slots.size() ? ring->head : index_t{0};
+    const index_t n = ring.count;
+    const index_t start = n == ring.slots.size() ? ring.head : index_t{0};
     for (index_t i = 0; i < n; ++i) {
-      const FlightEvent& e = ring->slots[(start + i) % ring->slots.size()];
-      w.begin_object();
-      w.key("name");
-      w.string(e.name != nullptr ? e.name : "?");
-      w.key("cat");
-      w.string(e.category != nullptr ? e.category : "mmw");
-      w.key("ph");
-      w.string("X");
-      w.key("pid");
-      w.number(std::uint64_t{1});
-      w.key("tid");
-      w.number(tid);
-      w.key("ts");
-      w.number(e.ts_us);
-      w.key("dur");
-      w.number(e.dur_us);
-      w.end_object();
+      const FlightEvent& e = ring.slots[(start + i) % ring.slots.size()];
+      TraceEvent span;
+      span.name = e.name;
+      span.category = e.category;
+      span.ts_us = e.ts_us;
+      span.dur_us = e.dur_us;
+      write_chrome_event(w, span, ordinal);
     }
-  }
+  });
   w.end_array();
   w.key("displayTimeUnit");
   w.string("ms");
@@ -171,30 +104,16 @@ void FlightRecorder::set_dump_directory(std::string dir) {
 }
 
 std::uint64_t FlightRecorder::event_count() const {
-  std::vector<std::shared_ptr<Ring>> rings;
-  {
-    std::lock_guard lock(mutex_);
-    rings = rings_;
-  }
   std::uint64_t n = 0;
-  for (const auto& ring : rings) {
-    std::lock_guard lock(ring->mutex);
-    n += ring->count;
-  }
+  rings_.for_each([&](const Ring& ring, std::uint64_t) { n += ring.count; });
   return n;
 }
 
 void FlightRecorder::clear() {
-  std::vector<std::shared_ptr<Ring>> rings;
-  {
-    std::lock_guard lock(mutex_);
-    rings = rings_;
-  }
-  for (const auto& ring : rings) {
-    std::lock_guard lock(ring->mutex);
-    ring->head = 0;
-    ring->count = 0;
-  }
+  rings_.for_each([](Ring& ring, std::uint64_t) {
+    ring.head = 0;
+    ring.count = 0;
+  });
 }
 
 }  // namespace mmw::obs

@@ -10,9 +10,11 @@
 // "Always on" is literal: TraceScope feeds the ring even when
 // obs::enabled() is false, because the anomalies worth debugging occur in
 // production runs that keep full instrumentation off. The cost is bounded
-// by the ring write (TLS lookup + uncontended mutex + slot store) and is
-// held under the same ≤3% budget as the disabled-obs path by
-// tools/check_perf.py (--flight-off A/B on BM_SlotCycle*).
+// by the ring write — obs::ThreadShards' thread-local lookup (a linear
+// scan of this thread's recorder entries, one for most threads), an
+// uncontended mutex and a 32-byte slot store — and is held under the same
+// ≤3% budget as the disabled-obs path by tools/check_perf.py (--flight-off
+// A/B on BM_SlotCycle*).
 // MMW_FLIGHT=off (read by obs::init_from_env) disarms it for bare runs.
 //
 // Dumps are capped (kMaxDumps per recorder) so a pathological run — every
@@ -22,13 +24,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "linalg/common.h"
+#include "obs/shards.h"
 
 namespace mmw::obs {
 
@@ -50,7 +52,6 @@ class FlightRecorder {
   static FlightRecorder& global();
 
   explicit FlightRecorder(index_t capacity = kDefaultCapacity);
-  ~FlightRecorder();
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
@@ -89,15 +90,17 @@ class FlightRecorder {
   void clear();
 
  private:
-  struct Ring;
-  Ring& local_ring();
+  /// One thread's fixed ring of the last `slots.size()` spans.
+  struct Ring {
+    std::vector<FlightEvent> slots;
+    index_t head = 0;   ///< next slot to overwrite
+    index_t count = 0;  ///< live entries (≤ slots.size())
+  };
 
   std::atomic<bool> armed_{true};
-  index_t capacity_;
   std::atomic<std::uint64_t> dumps_taken_{0};
-  mutable std::mutex mutex_;  ///< guards rings_ list and dump_dir_
-  std::vector<std::shared_ptr<Ring>> rings_;
-  std::uint64_t next_sequence_ = 0;
+  ThreadShards<Ring> rings_;
+  mutable std::mutex mutex_;  ///< guards dump_dir_
   std::string dump_dir_ = "bench_results";
 };
 

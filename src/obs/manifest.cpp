@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <string_view>
 #include <system_error>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -19,6 +20,21 @@ std::string render_string(const std::string& v) {
   JsonWriter w;
   w.string(v);
   return std::move(w).str();
+}
+
+/// The "<field> <n> kB" line of /proc/self/status in bytes (Linux); 0 when
+/// the file or the field is absent.
+std::uint64_t proc_status_bytes(std::string_view field) {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  unsigned long long kb = 0;
+  bool found = false;
+  while (!found && std::fgets(line, sizeof line, f) != nullptr)
+    found = std::string_view(line).starts_with(field) &&
+            std::sscanf(line + field.size(), " %llu kB", &kb) == 1;
+  std::fclose(f);
+  return found ? static_cast<std::uint64_t>(kb) * 1024u : 0;
 }
 
 }  // namespace
@@ -99,21 +115,9 @@ std::string RunManifest::to_json() const {
 }
 
 std::uint64_t peak_rss_bytes() {
-#if defined(__linux__)
   // VmHWM is the kernel's own high-water mark for resident pages; it
   // survives any frees the allocator has since returned to the OS.
-  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
-    char line[256];
-    while (std::fgets(line, sizeof line, f) != nullptr) {
-      unsigned long long kb = 0;
-      if (std::sscanf(line, "VmHWM: %llu kB", &kb) == 1) {
-        std::fclose(f);
-        return static_cast<std::uint64_t>(kb) * 1024u;
-      }
-    }
-    std::fclose(f);
-  }
-#endif
+  if (const std::uint64_t hwm = proc_status_bytes("VmHWM:")) return hwm;
 #if defined(__unix__) || defined(__APPLE__)
   struct rusage ru;
   std::memset(&ru, 0, sizeof ru);
@@ -128,22 +132,7 @@ std::uint64_t peak_rss_bytes() {
   return 0;
 }
 
-std::uint64_t current_rss_bytes() {
-#if defined(__linux__)
-  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
-    char line[256];
-    while (std::fgets(line, sizeof line, f) != nullptr) {
-      unsigned long long kb = 0;
-      if (std::sscanf(line, "VmRSS: %llu kB", &kb) == 1) {
-        std::fclose(f);
-        return static_cast<std::uint64_t>(kb) * 1024u;
-      }
-    }
-    std::fclose(f);
-  }
-#endif
-  return 0;
-}
+std::uint64_t current_rss_bytes() { return proc_status_bytes("VmRSS:"); }
 
 bool write_text_file(const std::string& path, const std::string& content) {
   const std::filesystem::path p(path);
@@ -157,13 +146,14 @@ bool write_text_file(const std::string& path, const std::string& content) {
     }
   }
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "note: could not write %s\n", path.c_str());
-    return false;
+  bool ok = f != nullptr;
+  if (ok) {
+    ok = std::fwrite(content.data(), 1, content.size(), f) == content.size();
+    // fclose flushes the buffered tail: a full disk may only show here.
+    ok = std::fclose(f) == 0 && ok;
   }
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return true;
+  if (!ok) std::fprintf(stderr, "note: could not write %s\n", path.c_str());
+  return ok;
 }
 
 }  // namespace mmw::obs

@@ -1,27 +1,10 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "obs/json.h"
 
 namespace mmw::obs {
-
-namespace {
-
-/// Thread-local registry→shard associations. A plain vector with linear
-/// scan: a process holds one or two registries, so this beats a hash map.
-/// Entries hold shared_ptr so shard data outlives the recording thread —
-/// the registry snapshots pool-worker shards after the pool is gone.
-struct TlsShards {
-  std::vector<std::pair<const Registry*, std::shared_ptr<void>>> entries;
-};
-TlsShards& tls_shards() {
-  thread_local TlsShards tls;
-  return tls;
-}
-
-}  // namespace
 
 HistogramBuckets HistogramBuckets::linear(real first_upper, real width,
                                           index_t count) {
@@ -69,16 +52,6 @@ Registry& Registry::global() {
   return *instance;
 }
 
-Registry::~Registry() {
-  // Drop this registry's TLS association for the destroying thread only;
-  // other threads' entries hold shared_ptrs that keep shard data alive and
-  // harmless (their Registry* key is never matched again unless the
-  // address is reused — tests create registries on the stack one at a
-  // time, and the global registry is never destroyed).
-  auto& entries = tls_shards().entries;
-  std::erase_if(entries, [this](const auto& e) { return e.first == this; });
-}
-
 index_t Registry::register_metric(
     std::string_view name, Kind kind,
     std::shared_ptr<const std::vector<real>> bounds) {
@@ -122,79 +95,54 @@ Histogram Registry::histogram(std::string_view name,
   return Histogram(this, id, std::move(bounds));
 }
 
-Registry::Shard& Registry::local_shard() {
-  auto& entries = tls_shards().entries;
-  for (auto& [registry, shard] : entries)
-    if (registry == this) return *static_cast<Shard*>(shard.get());
-
-  auto shard = std::make_shared<Shard>();
-  shard->ordinal = thread_ordinal();
-  {
-    std::lock_guard lock(mutex_);
-    shard->sequence = next_shard_sequence_++;
-    shards_.push_back(shard);
-  }
-  entries.emplace_back(this, shard);
-  return *shard;
-}
-
-Registry::Cell& Registry::cell_for(Shard& shard, index_t id) {
-  if (shard.cells.size() <= id) shard.cells.resize(id + 1);
-  Cell& cell = shard.cells[id];
-  return cell;
+template <class Fn>
+void Registry::with_cell(index_t id, Fn&& fn) {
+  shards_.with_local([&](std::vector<Cell>& cells) {
+    if (cells.size() <= id) cells.resize(id + 1);
+    fn(cells[id]);
+  });
 }
 
 void Registry::record_add(index_t id, std::uint64_t delta) {
-  Shard& shard = local_shard();
-  std::lock_guard lock(shard.mutex);
-  cell_for(shard, id).count += delta;
+  with_cell(id, [&](Cell& cell) { cell.count += delta; });
 }
 
 void Registry::record_gauge(index_t id, real value) {
-  Shard& shard = local_shard();
-  std::lock_guard lock(shard.mutex);
-  Cell& cell = cell_for(shard, id);
-  if (cell.count == 0) {
-    cell.minimum = value;
-    cell.maximum = value;
-  } else {
-    cell.minimum = std::min(cell.minimum, value);
-    cell.maximum = std::max(cell.maximum, value);
-  }
-  ++cell.count;
-  cell.sum += value;
-  cell.last = value;
+  with_cell(id, [&](Cell& cell) {
+    if (cell.count == 0) {
+      cell.minimum = value;
+      cell.maximum = value;
+    } else {
+      cell.minimum = std::min(cell.minimum, value);
+      cell.maximum = std::max(cell.maximum, value);
+    }
+    ++cell.count;
+    cell.sum += value;
+    cell.last = value;
+  });
 }
 
 void Registry::record_histogram(index_t id, real value,
                                 const std::vector<real>& bounds) {
-  Shard& shard = local_shard();
-  std::lock_guard lock(shard.mutex);
-  Cell& cell = cell_for(shard, id);
-  if (cell.bucket_counts.empty())
-    cell.bucket_counts.assign(bounds.size() + 1, 0);
-  const auto it =
-      std::lower_bound(bounds.begin(), bounds.end(), value);  // le bucket
-  ++cell.bucket_counts[static_cast<index_t>(it - bounds.begin())];
-  ++cell.count;
-  cell.sum += value;
+  with_cell(id, [&](Cell& cell) {
+    if (cell.bucket_counts.empty())
+      cell.bucket_counts.assign(bounds.size() + 1, 0);
+    const auto it =
+        std::lower_bound(bounds.begin(), bounds.end(), value);  // le bucket
+    ++cell.bucket_counts[static_cast<index_t>(it - bounds.begin())];
+    ++cell.count;
+    cell.sum += value;
+  });
 }
 
 MetricsSnapshot Registry::snapshot() const {
-  // Stable copy of the shard list + defs under the registry mutex, then
-  // merge shard-by-shard under each shard's own mutex.
-  std::vector<std::shared_ptr<Shard>> shards;
+  // Definitions are copied under the registry mutex; the shards are then
+  // merged in (ordinal, sequence) order, each under its own mutex.
   std::vector<Def> defs;
   {
     std::lock_guard lock(mutex_);
-    shards = shards_;
     defs = defs_;
   }
-  std::sort(shards.begin(), shards.end(),
-            [](const auto& a, const auto& b) {
-              if (a->ordinal != b->ordinal) return a->ordinal < b->ordinal;
-              return a->sequence < b->sequence;
-            });
 
   MetricsSnapshot snap;
   // Pre-create every registered metric so the snapshot lists zero-valued
@@ -217,10 +165,9 @@ MetricsSnapshot Registry::snapshot() const {
     }
   }
 
-  for (const auto& shard : shards) {
-    std::lock_guard lock(shard->mutex);
-    for (index_t id = 0; id < shard->cells.size() && id < defs.size(); ++id) {
-      const Cell& cell = shard->cells[id];
+  shards_.for_each([&](const std::vector<Cell>& cells, std::uint64_t) {
+    for (index_t id = 0; id < cells.size() && id < defs.size(); ++id) {
+      const Cell& cell = cells[id];
       if (cell.count == 0) continue;
       const Def& def = defs[id];
       switch (def.kind) {
@@ -255,20 +202,14 @@ MetricsSnapshot Registry::snapshot() const {
         }
       }
     }
-  }
+  });
   return snap;
 }
 
 void Registry::reset() {
-  std::vector<std::shared_ptr<Shard>> shards;
-  {
-    std::lock_guard lock(mutex_);
-    shards = shards_;
-  }
-  for (const auto& shard : shards) {
-    std::lock_guard lock(shard->mutex);
-    for (Cell& cell : shard->cells) cell = Cell{};
-  }
+  shards_.for_each([](std::vector<Cell>& cells, std::uint64_t) {
+    for (Cell& cell : cells) cell = Cell{};
+  });
 }
 
 std::string MetricsSnapshot::to_json() const {

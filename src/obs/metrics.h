@@ -5,9 +5,8 @@
 //  - Metric handles are registered once by name (cheap to copy, trivially
 //    destructible); hot paths hold them in function-local statics.
 //  - Every recording thread writes to its OWN shard — a per-thread vector
-//    of cells guarded by an uncontended per-shard mutex — so concurrent
-//    recording never contends across threads (TSan-covered in
-//    tests/obs/obs_test.cpp).
+//    of cells in obs::ThreadShards (shards.h) — so concurrent recording
+//    never contends across threads (TSan-covered in tests/obs/obs_test.cpp).
 //  - `snapshot()` merges all shards in deterministic (thread-ordinal,
 //    registration-sequence) order; core::ThreadPool labels its workers
 //    1..n via obs::set_thread_ordinal so the merge order is stable.
@@ -37,6 +36,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "obs/shards.h"
 
 namespace mmw::obs {
 
@@ -134,7 +134,6 @@ struct MetricsSnapshot {
 class Registry {
  public:
   Registry() = default;
-  ~Registry();
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
@@ -181,30 +180,21 @@ class Registry {
     std::vector<std::uint64_t> bucket_counts;
   };
 
-  /// Per-thread sink. The mutex is only ever contended by snapshot()/
-  /// reset() racing a recording — never by two recorders.
-  struct Shard {
-    mutable std::mutex mutex;
-    std::uint64_t ordinal = 0;
-    std::uint64_t sequence = 0;  ///< registration order (merge tiebreak)
-    std::vector<Cell> cells;
-  };
-
   index_t register_metric(std::string_view name, Kind kind,
                           std::shared_ptr<const std::vector<real>> bounds);
-  Shard& local_shard();
-  Cell& cell_for(Shard& shard, index_t id);
+  /// Runs fn(Cell&) on the calling thread's cell for metric `id`.
+  template <class Fn>
+  void with_cell(index_t id, Fn&& fn);
 
   void record_add(index_t id, std::uint64_t delta);
   void record_gauge(index_t id, real value);
   void record_histogram(index_t id, real value,
                         const std::vector<real>& bounds);
 
-  mutable std::mutex mutex_;  ///< guards defs_, ids_, shards_
+  mutable std::mutex mutex_;  ///< guards defs_, ids_
   std::vector<Def> defs_;
   std::map<std::string, index_t, std::less<>> ids_;
-  std::vector<std::shared_ptr<Shard>> shards_;
-  std::uint64_t next_shard_sequence_ = 0;
+  ThreadShards<std::vector<Cell>> shards_;
 };
 
 }  // namespace mmw::obs

@@ -116,13 +116,16 @@ bool TelemetrySink::open(const std::string& path) {
 
 void TelemetrySink::write(const TelemetryRecord& record) {
   if (file_ == nullptr) return;
-  const std::string line = record.to_json(true);
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fputc('\n', file_);
+  const std::string line = record.to_json(true) + '\n';
   // Per-line flush is the point: an external tail must see the epoch as
-  // soon as it completes, and a crash must not lose buffered history.
-  std::fflush(file_);
-  ++records_written_;
+  // soon as it completes, and a crash must not lose buffered history. A
+  // record counts as written only once the flush has reached the file.
+  if (std::fwrite(line.data(), 1, line.size(), file_) == line.size() &&
+      std::fflush(file_) == 0)
+    ++records_written_;
+  else
+    std::fprintf(stderr, "note: telemetry record %llu was not written\n",
+                 static_cast<unsigned long long>(record.epoch));
 }
 
 void TelemetrySink::close() {

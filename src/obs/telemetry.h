@@ -86,6 +86,7 @@ class TelemetrySink {
   bool is_open() const { return file_ != nullptr; }
 
   void write(const TelemetryRecord& record);
+  /// Records whose line reached the file (a failed write is not counted).
   std::uint64_t records_written() const { return records_written_; }
 
   void close();

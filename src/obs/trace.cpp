@@ -6,60 +6,14 @@
 
 namespace mmw::obs {
 
-/// Per-thread event sink. The mutex is only contended when an export or
-/// clear races ongoing capture; recorder-vs-recorder is impossible.
-struct TraceCollector::Buffer {
-  mutable std::mutex mutex;
-  std::uint64_t ordinal = 0;   ///< thread ordinal at first event
-  std::uint64_t sequence = 0;  ///< registration order (merge tiebreak)
-  std::vector<TraceEvent> events;
-};
-
-namespace {
-
-struct TlsBuffers {
-  // shared_ptr<void>: Buffer is private to TraceCollector; ownership is
-  // what matters here, the type is recovered at the lookup site.
-  std::vector<std::pair<const TraceCollector*, std::shared_ptr<void>>>
-      entries;
-};
-TlsBuffers& tls_buffers() {
-  thread_local TlsBuffers tls;
-  return tls;
-}
-
-}  // namespace
-
 TraceCollector& TraceCollector::global() {
   static TraceCollector* instance = new TraceCollector();  // outlives TLS
   return *instance;
 }
 
-TraceCollector::~TraceCollector() {
-  auto& entries = tls_buffers().entries;
-  std::erase_if(entries, [this](const auto& e) { return e.first == this; });
-}
-
-TraceCollector::Buffer& TraceCollector::local_buffer() {
-  auto& entries = tls_buffers().entries;
-  for (auto& [collector, buffer] : entries)
-    if (collector == this) return *static_cast<Buffer*>(buffer.get());
-
-  auto buffer = std::make_shared<Buffer>();
-  buffer->ordinal = thread_ordinal();
-  {
-    std::lock_guard lock(mutex_);
-    buffer->sequence = next_sequence_++;
-    buffers_.push_back(buffer);
-  }
-  entries.emplace_back(this, buffer);
-  return *buffer;
-}
-
 void TraceCollector::push(const TraceEvent& event) {
-  Buffer& buffer = local_buffer();
-  std::lock_guard lock(buffer.mutex);
-  buffer.events.push_back(event);
+  buffers_.with_local(
+      [&](std::vector<TraceEvent>& events) { events.push_back(event); });
 }
 
 void TraceCollector::complete(const char* name, const char* category,
@@ -98,77 +52,61 @@ void TraceCollector::instant(const char* name, const char* category) {
   push(e);
 }
 
+void write_chrome_event(JsonWriter& w, const TraceEvent& e,
+                        std::uint64_t tid) {
+  w.begin_object();
+  w.key("name");
+  w.string(e.name != nullptr ? e.name : "?");
+  w.key("cat");
+  w.string(e.category != nullptr ? e.category : "mmw");
+  w.key("ph");
+  w.string(std::string_view(&e.phase, 1));
+  w.key("pid");
+  w.number(std::uint64_t{1});
+  w.key("tid");
+  w.number(tid);
+  w.key("ts");
+  w.number(e.ts_us);
+  if (e.phase == 'X') {
+    w.key("dur");
+    w.number(e.dur_us);
+  }
+  if (e.phase == 'C') {
+    w.key("args");
+    w.begin_object();
+    w.key("value");
+    w.number(e.value);
+    w.end_object();
+  } else if (e.num_args > 0) {
+    w.key("args");
+    w.begin_object();
+    for (int i = 0; i < e.num_args; ++i) {
+      w.key(e.args[i].key);
+      w.number(e.args[i].value);
+    }
+    w.end_object();
+  }
+  w.end_object();
+}
+
 std::uint64_t TraceCollector::event_count() const {
-  std::vector<std::shared_ptr<Buffer>> buffers;
-  {
-    std::lock_guard lock(mutex_);
-    buffers = buffers_;
-  }
   std::uint64_t n = 0;
-  for (const auto& buffer : buffers) {
-    std::lock_guard lock(buffer->mutex);
-    n += buffer->events.size();
-  }
+  buffers_.for_each([&](const std::vector<TraceEvent>& events,
+                        std::uint64_t) { n += events.size(); });
   return n;
 }
 
 std::string TraceCollector::chrome_json() const {
-  std::vector<std::shared_ptr<Buffer>> buffers;
-  {
-    std::lock_guard lock(mutex_);
-    buffers = buffers_;
-  }
-  std::sort(buffers.begin(), buffers.end(),
-            [](const auto& a, const auto& b) {
-              if (a->ordinal != b->ordinal) return a->ordinal < b->ordinal;
-              return a->sequence < b->sequence;
-            });
-
   JsonWriter w;
   w.begin_object();
   w.key("traceEvents");
   w.begin_array();
-  for (const auto& buffer : buffers) {
-    std::lock_guard lock(buffer->mutex);
-    // tid: ordinal when labelled (pool workers are 1..n, main stays 0);
-    // unlabelled extra threads collapse onto 0, which the viewer tolerates.
-    const std::uint64_t tid = buffer->ordinal;
-    for (const TraceEvent& e : buffer->events) {
-      w.begin_object();
-      w.key("name");
-      w.string(e.name);
-      w.key("cat");
-      w.string(e.category != nullptr ? e.category : "mmw");
-      w.key("ph");
-      w.string(std::string_view(&e.phase, 1));
-      w.key("pid");
-      w.number(std::uint64_t{1});
-      w.key("tid");
-      w.number(tid);
-      w.key("ts");
-      w.number(e.ts_us);
-      if (e.phase == 'X') {
-        w.key("dur");
-        w.number(e.dur_us);
-      }
-      if (e.phase == 'C') {
-        w.key("args");
-        w.begin_object();
-        w.key("value");
-        w.number(e.value);
-        w.end_object();
-      } else if (e.num_args > 0) {
-        w.key("args");
-        w.begin_object();
-        for (int i = 0; i < e.num_args; ++i) {
-          w.key(e.args[i].key);
-          w.number(e.args[i].value);
-        }
-        w.end_object();
-      }
-      w.end_object();
-    }
-  }
+  // tid: ordinal when labelled (pool workers are 1..n, main stays 0);
+  // unlabelled extra threads collapse onto 0, which the viewer tolerates.
+  buffers_.for_each(
+      [&](const std::vector<TraceEvent>& events, std::uint64_t ordinal) {
+        for (const TraceEvent& e : events) write_chrome_event(w, e, ordinal);
+      });
   w.end_array();
   w.key("displayTimeUnit");
   w.string("ms");
@@ -177,15 +115,8 @@ std::string TraceCollector::chrome_json() const {
 }
 
 void TraceCollector::clear() {
-  std::vector<std::shared_ptr<Buffer>> buffers;
-  {
-    std::lock_guard lock(mutex_);
-    buffers = buffers_;
-  }
-  for (const auto& buffer : buffers) {
-    std::lock_guard lock(buffer->mutex);
-    buffer->events.clear();
-  }
+  buffers_.for_each(
+      [](std::vector<TraceEvent>& events, std::uint64_t) { events.clear(); });
 }
 
 }  // namespace mmw::obs

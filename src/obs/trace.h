@@ -1,10 +1,10 @@
 // Scoped tracing spans with a Chrome trace_event JSON exporter.
 //
-// Capture model mirrors the metrics registry: per-thread event buffers
-// (no cross-thread contention while recording) flushed into one JSON
-// document on export, buffers ordered by thread ordinal. Span names and
-// categories are `const char*` and must point at STATIC storage (string
-// literals) — events store the pointer, not a copy.
+// Capture model mirrors the metrics registry: per-thread event buffers in
+// obs::ThreadShards (no cross-thread contention while recording) flushed
+// into one JSON document on export, buffers ordered by thread ordinal.
+// Span names and categories are `const char*` and must point at STATIC
+// storage (string literals) — events store the pointer, not a copy.
 //
 // Two independent switches gate capture:
 //   obs::enabled()            — the master instrumentation toggle;
@@ -19,16 +19,17 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "obs/clock.h"
 #include "obs/flight.h"
 #include "obs/obs.h"
+#include "obs/shards.h"
 
 namespace mmw::obs {
+
+class JsonWriter;
 
 /// One trace_event entry. 'X' = complete span, 'C' = counter sample,
 /// 'i' = instant event.
@@ -49,12 +50,16 @@ struct TraceEvent {
   int num_args = 0;
 };
 
+/// Writes `e` as one Chrome trace_event object on thread `tid` — the span
+/// writer behind both TraceCollector::chrome_json and
+/// FlightRecorder::chrome_json.
+void write_chrome_event(JsonWriter& w, const TraceEvent& e, std::uint64_t tid);
+
 class TraceCollector {
  public:
   static TraceCollector& global();
 
   TraceCollector() = default;
-  ~TraceCollector();
   TraceCollector(const TraceCollector&) = delete;
   TraceCollector& operator=(const TraceCollector&) = delete;
 
@@ -90,14 +95,10 @@ class TraceCollector {
   void clear();
 
  private:
-  struct Buffer;
-  Buffer& local_buffer();
   void push(const TraceEvent& event);
 
   std::atomic<bool> capturing_{false};
-  mutable std::mutex mutex_;  ///< guards buffers_ list
-  std::vector<std::shared_ptr<Buffer>> buffers_;
-  std::uint64_t next_sequence_ = 0;
+  ThreadShards<std::vector<TraceEvent>> buffers_;
 };
 
 /// RAII span: captures the start time at construction, records a complete

@@ -189,46 +189,6 @@ TEST(ProposedTest, BeatsRandomOnAverage) {
   EXPECT_LT(proposed_loss, random_loss);
 }
 
-TEST(ProposedTest, RunWithStateRejectsWrongShape) {
-  Fixture f;
-  Session s = f.session(12);
-  linalg::Matrix wrong(3, 3);
-  EXPECT_THROW(ProposedAlignment().run_with_state(s, wrong),
-               precondition_error);
-}
-
-TEST(ProposedTest, RunWithStateProducesCovariance) {
-  Fixture f;
-  Session s = f.session(24);
-  linalg::Matrix state;
-  ProposedAlignment().run_with_state(s, state);
-  EXPECT_EQ(state.rows(), 16u);
-  EXPECT_TRUE(state.is_hermitian(1e-8 * (1.0 + state.max_abs())));
-}
-
-TEST(ProposedTest, WarmStartSkipsColdExploration) {
-  // Seeding with the TRUE beam covariance must make the very first slot
-  // probe the strongest RX beams.
-  Rng rng(17);
-  const auto tx = ArrayGeometry::upa(4, 4);
-  const auto rx = ArrayGeometry::upa(8, 8);
-  const auto tx_cb = Codebook::angular_grid(tx, 4, 4, -M_PI / 3, M_PI / 3,
-                                            -M_PI / 6, M_PI / 6);
-  const auto rx_cb = Codebook::angular_grid(rx, 8, 8, -M_PI / 3, M_PI / 3,
-                                            -M_PI / 6, M_PI / 6);
-  const Link link = channel::make_single_path_link(tx, rx, rng);
-  linalg::Matrix prior = link.rx_covariance();
-  const index_t best_rx = rx_cb.best_for_covariance(prior);
-
-  Session s(link, tx_cb, rx_cb, 1.0, 12, rng, 8);
-  ProposedAlignment().run_with_state(s, prior);
-  // The top-scoring RX beam under the prior is probed within the first slot.
-  bool probed = false;
-  for (index_t k = 0; k < std::min<index_t>(6, s.records().size()); ++k)
-    if (s.records()[k].rx_beam == best_rx) probed = true;
-  EXPECT_TRUE(probed);
-}
-
 TEST(HierarchicalTest, StrideValidation) {
   HierarchicalOptions bad;
   bad.stride = 0;

@@ -168,8 +168,11 @@ TEST(RobustEstimateTest, StressedBaselineKindFallsToUniform) {
   // Uniform rung: scaled identity — off-diagonals exactly zero.
   const Matrix d = r.q.dense();
   for (index_t i = 0; i < d.rows(); ++i)
-    for (index_t j = 0; j < d.cols(); ++j)
-      if (i != j) EXPECT_EQ(std::abs(d(i, j)), 0.0);
+    for (index_t j = 0; j < d.cols(); ++j) {
+      if (i != j) {
+        EXPECT_EQ(std::abs(d(i, j)), 0.0);
+      }
+    }
   EXPECT_GT(r.q.trace(), 0.0);
 }
 

@@ -96,7 +96,9 @@ TEST_P(EvolutionProperty, DriftRmsScalesLinearlyWithSpeed) {
     sum2 += evo2.aoa_azimuth_drift(l) * evo2.aoa_azimuth_drift(l);
   }
   const real rms = std::sqrt(sum), rms2 = std::sqrt(sum2);
-  if (rms > 0.0) EXPECT_NEAR(rms2 / rms, 2.0, 1e-9);
+  if (rms > 0.0) {
+    EXPECT_NEAR(rms2 / rms, 2.0, 1e-9);
+  }
   // And the magnitude is in statistical range: |drift| ≤ 6σ√E.
   const real bound = 6.0 * cfg.drift_std_rad() * std::sqrt(
                                static_cast<real>(epochs));

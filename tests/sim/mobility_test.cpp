@@ -103,7 +103,9 @@ TEST(NearestSiteTest, PicksClosestAndBreaksTiesLow) {
                           (topo.site(1).y + topo.site(2).y) / 2.0};
   const index_t pick = nearest_site(topo, mid);
   const real d1 = topo.distance(1, mid), d2 = topo.distance(2, mid);
-  if (d1 == d2) EXPECT_EQ(pick, std::min<index_t>(1, 2));
+  if (d1 == d2) {
+    EXPECT_EQ(pick, std::min<index_t>(1, 2));
+  }
 }
 
 TEST(ServingSiteTest, HysteresisPreventsPingPong) {

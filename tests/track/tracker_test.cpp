@@ -224,11 +224,12 @@ TEST(TrackerDeterminismTest, IdenticalStreamsYieldIdenticalRuns) {
     const BeamState sa = a->export_state();
     const BeamState sb = b->export_state();
     ASSERT_EQ(sa.components.size(), sb.components.size());
-    if (!sa.components.empty())
+    if (!sa.components.empty()) {
       EXPECT_EQ(std::memcmp(sa.components.data(), sb.components.data(),
                             sa.components.size() *
                                 sizeof(estimation::BeamComponent)),
                 0);
+    }
   }
 }
 
@@ -243,7 +244,6 @@ TEST(TrackerHandoverTest, ExportImportExportIsByteStable) {
     SCOPED_TRACE(tracker_name(k));
     auto source = make_tracker(k, TrackerOptions{});
     source->reset();
-    Rng rng = Rng::stream(11, 1, 2, 3);
     for (index_t e = 0; e < 3; ++e) {
       Rng step_rng = Rng::stream(11, 1, 2, e);
       const TrackerContext ctx = rig.context(step_rng);
