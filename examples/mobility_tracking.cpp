@@ -61,12 +61,9 @@ int main(int argc, char** argv) {
 
   const track::TrackerKind kinds[] = {track::TrackerKind::kColdStart,
                                       track::TrackerKind::kWarmMl};
-  const track::TrackerOptions options;
   std::vector<std::unique_ptr<track::Tracker>> trackers;
-  for (const track::TrackerKind kind : kinds) {
-    trackers.push_back(track::make_tracker(kind, options));
-    trackers.back()->reset();
-  }
+  for (const track::TrackerKind kind : kinds)
+    trackers.push_back(track::make_tracker(kind));
 
   std::printf("tracking over %zu epochs, %.1f deg/epoch AoA/AoD drift\n",
               epochs, config.drift_std_rad() * 180 / M_PI);
@@ -116,6 +113,6 @@ int main(int argc, char** argv) {
       "the drift until then.\n",
       static_cast<real>(total_probes[0]) /
           static_cast<real>(std::max<index_t>(total_probes[1], 1)),
-      options.collapse_db);
+      track::TrackerOptions::collapse_db);
   return 0;
 }

@@ -5,19 +5,6 @@
 
 namespace mmw::channel {
 
-real jakes_correlation(real doppler_hz, real step_seconds) {
-  MMW_REQUIRE(doppler_hz >= 0.0);
-  MMW_REQUIRE(step_seconds >= 0.0);
-  return std::cyl_bessel_j(0.0, 2.0 * M_PI * doppler_hz * step_seconds);
-}
-
-real doppler_hz(real speed_mps, real carrier_ghz) {
-  MMW_REQUIRE(speed_mps >= 0.0);
-  MMW_REQUIRE(carrier_ghz >= 0.0);
-  constexpr real kSpeedOfLight = 299'792'458.0;
-  return speed_mps * carrier_ghz * 1e9 / kSpeedOfLight;
-}
-
 real EvolutionConfig::shadow_correlation() const {
   if (shadow_coherence_m <= 0.0) return 0.0;
   return std::exp(-meters_per_epoch() / shadow_coherence_m);
@@ -27,10 +14,6 @@ real EvolutionConfig::onset_probability() const {
   const real p =
       blockage_onset_per_epoch + blockage_onset_per_meter * meters_per_epoch();
   return std::clamp(p, 0.0, 1.0);
-}
-
-real EvolutionConfig::fade_correlation() const {
-  return std::clamp(jakes_correlation(doppler(), epoch_seconds), 0.0, 1.0);
 }
 
 LinkEvolution::LinkEvolution(antenna::ArrayGeometry tx,
@@ -130,54 +113,6 @@ Link blocked_link(const Link& link, std::span<const real> per_path_gain) {
     MMW_REQUIRE_MSG(g > 0.0 && g <= 1.0,
                     "blockage gain must be in (0, 1]");
   return link.with_scaled_path_powers(per_path_gain);
-}
-
-TemporalFader::TemporalFader(const Link& link, real correlation,
-                             randgen::Rng& rng)
-    : link_(&link), rho_(correlation) {
-  MMW_REQUIRE_MSG(correlation >= 0.0 && correlation <= 1.0,
-                  "correlation must be in [0, 1]");
-  amplitude_scale_ =
-      std::sqrt(static_cast<real>(link.tx_size() * link.rx_size()));
-  gains_.reserve(link.paths().size());
-  for (const Path& p : link.paths())
-    gains_.push_back(rng.complex_normal(p.power));
-}
-
-void TemporalFader::advance(randgen::Rng& rng) {
-  const real innovation = std::sqrt(1.0 - rho_ * rho_);
-  for (index_t l = 0; l < gains_.size(); ++l)
-    gains_[l] = rho_ * gains_[l] +
-                innovation * rng.complex_normal(link_->paths()[l].power);
-}
-
-linalg::Matrix TemporalFader::current_channel() const {
-  const index_t n = link_->rx_size();
-  const index_t m = link_->tx_size();
-  linalg::Matrix h(n, m);
-  for (index_t l = 0; l < gains_.size(); ++l) {
-    const cx g = gains_[l] * cx{amplitude_scale_, 0.0};
-    const linalg::Vector& ar = link_->rx_steering(l);
-    const linalg::Vector& at = link_->tx_steering(l);
-    for (index_t i = 0; i < n; ++i) {
-      const cx gi = g * ar[i];
-      for (index_t j = 0; j < m; ++j) h(i, j) += gi * std::conj(at[j]);
-    }
-  }
-  return h;
-}
-
-linalg::Vector TemporalFader::current_effective(
-    const linalg::Vector& u) const {
-  MMW_REQUIRE(u.size() == link_->tx_size());
-  linalg::Vector h(link_->rx_size());
-  for (index_t l = 0; l < gains_.size(); ++l) {
-    const cx g = gains_[l] * cx{amplitude_scale_, 0.0} *
-                 linalg::dot(link_->tx_steering(l), u);
-    const linalg::Vector& ar = link_->rx_steering(l);
-    for (index_t i = 0; i < h.size(); ++i) h[i] += g * ar[i];
-  }
-  return h;
 }
 
 }  // namespace mmw::channel

@@ -1,9 +1,9 @@
-// Temporal channel evolution: first-order Gauss–Markov (AR(1)) fading on a
-// fixed path geometry. The paper assumes the covariance "doesn't change
-// dramatically between consecutive TX-slots" while the instantaneous H_j
-// refades — this model makes both statements precise: per-path gains evolve
-// with correlation ρ per step, so the covariance (set by the geometry) is
-// exactly stationary while H decorrelates at a controllable rate.
+// Temporal channel evolution on a fixed path geometry. The paper assumes
+// the covariance "doesn't change dramatically between consecutive
+// TX-slots" while the instantaneous H_j refades; within a trial the probe
+// chain refades H on every draw and the geometry stays put. Across epochs
+// LinkEvolution moves that geometry (angle drift, shadowing, blockage),
+// and blocked_link applies a one-off blockage event to a link.
 #pragma once
 
 #include "antenna/geometry.h"
@@ -11,50 +11,15 @@
 
 namespace mmw::channel {
 
-/// Clarke/Jakes temporal correlation ρ = J₀(2π f_D τ) for Doppler f_D and
-/// step interval τ. Preconditions: both non-negative.
-real jakes_correlation(real doppler_hz, real step_seconds);
-
-/// Doppler frequency f_D = v·f_c/c (Hz) of a terminal moving at
-/// `speed_mps` under carrier `carrier_ghz`. Preconditions: both ≥ 0.
-real doppler_hz(real speed_mps, real carrier_ghz);
-
 /// Sudden blockage as a large-scale temporal transition: the post-onset
 /// link is `link` with each path's mean power scaled by
 /// per_path_gain[l] ∈ (0, 1] (1 = unshadowed, small = deeply shadowed).
-/// The AR(1) small-scale model above keeps the covariance stationary; a
-/// blockage event is the complementary NON-stationary jump — the paper's
+/// Small-scale refading keeps the covariance stationary; a blockage event
+/// is the complementary NON-stationary jump — the paper's
 /// geometry holds but a blocker suppresses a subset of paths, which is the
 /// regime the fault-injection runtime (src/fault) stresses.
 /// Preconditions: one gain per path, entries in (0, 1].
 Link blocked_link(const Link& link, std::span<const real> per_path_gain);
-
-/// Stateful fader over a Link: holds per-path complex gains that evolve as
-///   g[t+1] = ρ·g[t] + √(1−ρ²)·w,  w ~ CN(0, p_l),
-/// so every marginal matches the Link's Rayleigh statistics and
-/// E[g[t+k] g[t]*] = ρᵏ·p_l.
-class TemporalFader {
- public:
-  /// Preconditions: 0 ≤ correlation ≤ 1.
-  TemporalFader(const Link& link, real correlation, randgen::Rng& rng);
-
-  real correlation() const { return rho_; }
-
-  /// Advances the fading state by one step.
-  void advance(randgen::Rng& rng);
-
-  /// Instantaneous channel matrix for the current state (N×M).
-  linalg::Matrix current_channel() const;
-
-  /// Effective RX channel H·u for the current state.
-  linalg::Vector current_effective(const linalg::Vector& u) const;
-
- private:
-  const Link* link_;
-  real rho_;
-  real amplitude_scale_;
-  std::vector<cx> gains_;
-};
 
 /// Epoch-scale large-scale evolution knobs for LinkEvolution. Everything is
 /// expressed per meter traveled where it physically scales with motion, so
@@ -63,7 +28,6 @@ class TemporalFader {
 struct EvolutionConfig {
   real epoch_seconds = 0.5;   ///< wall time between epochs (τ)
   real speed_mps = 1.4;       ///< terminal speed (walking default)
-  real carrier_ghz = 28.0;    ///< mmWave carrier, sets the Doppler
 
   /// Angular random-walk scale: each path's AoA/AoD azimuth and elevation
   /// gain an independent N(0, (drift_rad_per_meter·d)²) increment per epoch,
@@ -93,19 +57,14 @@ struct EvolutionConfig {
   }
   real shadow_correlation() const;  ///< exp(−d/coherence), 0 if coherence ≤ 0
   real onset_probability() const;   ///< clamped per-epoch onset
-  real doppler() const { return doppler_hz(speed_mps, carrier_ghz); }
-  /// Jakes fade correlation across one epoch, clamped to [0, 1] (the AR(1)
-  /// fader requires a non-negative ρ; past the first Bessel zero the fades
-  /// are effectively independent anyway).
-  real fade_correlation() const;
 };
 
 /// Deterministic epoch-by-epoch evolution of one link's LARGE-SCALE state:
 /// path angles drift as a seeded random walk, per-path shadow fading follows
 /// an AR(1) log-normal, and blockage switches on/off as a Markov chain. The
 /// small-scale Rayleigh refades stay where they always were (the probe
-/// chain / TemporalFader); this class only moves the geometry the paper
-/// holds fixed within a trial.
+/// chain); this class only moves the geometry the paper holds fixed within
+/// a trial.
 ///
 /// Determinism contract: the state at epoch e is a pure function of
 /// (seed, key_a, key_b, e) — epoch k's innovations are drawn from the

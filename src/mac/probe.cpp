@@ -44,4 +44,8 @@ real probe_energy(const ProbeView& view, index_t tx_beam, index_t rx_beam,
   return energy / static_cast<real>(fades);
 }
 
+real collapse_scale(real collapse_db) {
+  return std::pow(10.0, -collapse_db / 10.0);
+}
+
 }  // namespace mmw::mac

@@ -53,6 +53,11 @@ struct ProbeView {
 real probe_energy(const ProbeView& view, index_t tx_beam, index_t rx_beam,
                   index_t fades, randgen::Rng& rng, linalg::Vector& scratch);
 
+/// 10^(−collapse_db/10): the share of the trained energy below which a
+/// verify probe declares the claimed pair collapsed (Session, the serving
+/// engine and the trackers all apply this one test).
+real collapse_scale(real collapse_db);
+
 /// One completed beam-pair measurement.
 struct MeasurementRecord {
   index_t tx_beam = 0;   ///< index into the TX codebook (u_i)

@@ -1,7 +1,6 @@
 #include "mac/session.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/metrics.h"
 
@@ -183,8 +182,7 @@ Session::RealignmentReport Session::verify_and_realign(
   };
 
   if (obs::enabled()) SessionMetrics::get().realign_checks.add();
-  const real threshold =
-      best->energy * std::pow(10.0, -policy.collapse_db / 10.0);
+  const real threshold = best->energy * collapse_scale(policy.collapse_db);
   MeasurementRecord found{best->tx_beam, best->rx_beam,
                           probe(best->tx_beam, best->rx_beam)};
   if (found.energy < threshold) {

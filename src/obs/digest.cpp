@@ -43,7 +43,8 @@ void QuantileDigest::flush() {
 
   // Merge-sort the buffered samples (weight 1 each) with the existing
   // centroid list into one sorted sequence, then re-cluster.
-  std::vector<Centroid> merged;
+  std::vector<Centroid>& merged = merge_buffer();
+  merged.clear();
   merged.reserve(centroids_.size() + buffer_.size());
   index_t ci = 0, bi = 0;
   while (ci < centroids_.size() || bi < buffer_.size()) {
@@ -59,9 +60,14 @@ void QuantileDigest::flush() {
   compress(merged);
 }
 
-void QuantileDigest::compress(std::vector<Centroid>& merged) {
+std::vector<QuantileDigest::Centroid>& QuantileDigest::merge_buffer() {
+  thread_local std::vector<Centroid> buffer;
+  return buffer;
+}
+
+void QuantileDigest::compress(const std::vector<Centroid>& merged) {
   if (merged.size() <= compression_) {
-    centroids_ = std::move(merged);
+    centroids_.assign(merged.begin(), merged.end());
     return;
   }
   // Greedy left-to-right clustering: grow the current cluster while its
@@ -70,8 +76,8 @@ void QuantileDigest::compress(std::vector<Centroid>& merged) {
   // interpolation stays within ~1/(2·compression) rank error.
   const std::uint64_t limit =
       (total_weight_ + compression_ - 1) / compression_;
-  std::vector<Centroid> out;
-  out.reserve(compression_ + 1);
+  centroids_.clear();
+  centroids_.reserve(compression_ + 1);
   Centroid cur = merged.front();
   // Weighted mean accumulated as Σ(mean·weight): left-to-right order makes
   // the floating-point result a pure function of the merged sequence.
@@ -83,13 +89,12 @@ void QuantileDigest::compress(std::vector<Centroid>& merged) {
       cur_sum += next.mean * static_cast<real>(next.weight);
       cur.mean = cur_sum / static_cast<real>(cur.weight);
     } else {
-      out.push_back(cur);
+      centroids_.push_back(cur);
       cur = next;
       cur_sum = cur.mean * static_cast<real>(cur.weight);
     }
   }
-  out.push_back(cur);
-  centroids_ = std::move(out);
+  centroids_.push_back(cur);
 }
 
 void QuantileDigest::merge(const QuantileDigest& other) {
@@ -106,7 +111,8 @@ void QuantileDigest::merge(const QuantileDigest& other) {
   flush();
   // Fold the other digest's state — clustered centroids plus any buffered
   // raw samples — through one sort + compress pass.
-  std::vector<Centroid> merged;
+  std::vector<Centroid>& merged = merge_buffer();
+  merged.clear();
   merged.reserve(centroids_.size() + other.centroids_.size() +
                  other.buffer_.size());
   merged.insert(merged.end(), centroids_.begin(), centroids_.end());

@@ -77,9 +77,15 @@ class QuantileDigest {
     std::uint64_t weight = 0;
   };
 
+  /// The calling thread's merge buffer, shared by every digest's flush and
+  /// merge: a digest holds no scratch of its own (the serving engine builds
+  /// one per shard frame every epoch), and once the buffer has grown to the
+  /// largest merge a stream of samples clusters without allocating.
+  static std::vector<Centroid>& merge_buffer();
+
   /// Re-clusters `merged` (sorted by mean) so no output cluster outweighs
   /// ceil(W/compression), writing the result into centroids_.
-  void compress(std::vector<Centroid>& merged);
+  void compress(const std::vector<Centroid>& merged);
 
   index_t compression_;
   std::vector<Centroid> centroids_;  ///< sorted by (mean, weight)

@@ -16,7 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "randgen/keylanes.h"
-#include "track/policy.h"
 
 namespace mmw::serve {
 
@@ -116,18 +115,12 @@ struct ServingEngine::MetricFrame {
   }
 };
 
-/// Per-thread reusable scratch of the step phase. Buffers are resized on
-/// first touch and reused for every subsequent session the thread steps, so
-/// the steady-state tracking path performs zero allocations and the
-/// alignment path only the transient link/estimator work.
+/// Per-thread reusable scratch of the alignment step, resized on first
+/// touch and reused for every session the thread steps, so the alignment
+/// path allocates only the transient link and estimator work.
 struct ServingEngine::Workspace {
-  linalg::Vector fade_scratch;
-  std::vector<real> scores;
-  std::vector<index_t> probe_rx;
-  std::vector<real> probe_energy;
-  std::vector<estimation::BeamComponent> prior;
-  std::vector<estimation::BeamComponent> update;
-  std::vector<estimation::BeamMeasurement> measurements;
+  track::SlotScratch slot;
+  std::vector<estimation::BeamComponent> components;
 };
 
 ServingEngine::ServingEngine(ServeConfig config)
@@ -138,14 +131,12 @@ ServingEngine::ServingEngine(ServeConfig config)
   MMW_REQUIRE_MSG(config_.scenario.gamma > 0.0, "gamma must be positive");
   MMW_REQUIRE_MSG(config_.align_epochs >= 1,
                   "need at least one alignment slot");
+  MMW_REQUIRE_MSG(config_.align_epochs <= 0xff,
+                  "align_epochs must fit the u8 session slot counter");
   MMW_REQUIRE_MSG(config_.probes_per_slot >= 1,
                   "need at least one probe per slot");
   MMW_REQUIRE_MSG(config_.track_fades >= 1,
                   "need at least one tracking fade");
-  MMW_REQUIRE_MSG(config_.collapse_db > 0.0,
-                  "collapse threshold must be positive dB");
-  MMW_REQUIRE_MSG(config_.forgetting >= 0.0 && config_.forgetting <= 1.0,
-                  "forgetting must be in [0, 1]");
   MMW_REQUIRE_MSG(
       config_.blockage_probability >= 0.0 &&
           config_.blockage_probability <= 1.0,
@@ -159,7 +150,7 @@ ServingEngine::ServingEngine(ServeConfig config)
   MMW_REQUIRE_MSG(codebooks_.rx.size() - 1 <= 0xffff &&
                       codebooks_.tx.size() - 1 <= 0xffff,
                   "codeword indices must fit the u16 session fields");
-  collapse_scale_ = std::pow(10.0, -config_.collapse_db / 10.0);
+  collapse_scale_ = mac::collapse_scale(ServeConfig::collapse_db);
   const index_t sites = topology_.n_cells();
   pools_.reserve(sites);
   for (index_t s = 0; s < sites; ++s)
@@ -319,86 +310,51 @@ void ServingEngine::step_align(index_t site, UserSession& s,
   topology_.place_user(site, id);
   const channel::Link link = sim::make_scenario_link(sc, id);
   randgen::Rng rng = epoch_stream(sc.seed, site, s.user_key, epoch_);
-
-  const index_t n_tx = codebooks_.tx.size();
-  const index_t n_rx = codebooks_.rx.size();
-  const index_t j = std::min(config_.probes_per_slot, n_rx);
   const real noise_var = static_cast<real>(s.noise_var);
 
-  // TX dwell beam for the slot: a deterministic sweep — slot k dwells on
-  // beam (user_key + k) mod M, so align_epochs ≥ M covers the whole TX
-  // codebook and the per-session offset spreads concurrent aligners evenly
-  // over it. The RX probe set is the top-(J−1) codewords of the resident
-  // covariance (the paper's covariance-directed measurement) topped up by
-  // the cursor sweep: s.cursor counts probes spent, so consecutive slots
-  // continue where the last stopped (the key offset decorrelates sessions)
-  // and a fresh session (rank 0) covers all N beams in ⌈N/J⌉ slots. The
-  // prior is expanded once and reused by the warm-ML fold below.
-  const index_t tx = static_cast<index_t>(
-      (s.user_key + s.slots_aligned) % static_cast<std::uint64_t>(n_tx));
-  ws.prior.clear();
-  for (index_t i = 0; i < s.rank; ++i)
-    ws.prior.push_back({static_cast<index_t>(s.comp_beam[i]),
-                        static_cast<real>(s.comp_weight[i])});
-  const linalg::FactoredHermitian prior_q =
-      estimation::expand_beam_space(ws.prior, codebooks_.rx);
-  if (ws.scores.size() != n_rx) ws.scores.assign(n_rx, 0.0);
-  ws.probe_rx.clear();
-  if (!prior_q.empty()) {
-    codebooks_.rx.covariance_scores_into(prior_q, ws.scores);
-    // j > 1 keeps one explore slot.
-    track::append_covariance_probes(ws.scores, j > 1 ? j - 1 : 1,
-                                    ws.probe_rx);
-  }
-  track::append_cursor_probes(s.user_key, s.cursor, n_rx, j, ws.probe_rx);
-  // Canonical measurement order (ascending RX index): the probe loop's
-  // draw sequence and the update list's order are both pinned by it.
-  std::sort(ws.probe_rx.begin(), ws.probe_rx.end());
-
-  if (ws.fade_scratch.size() != link.rx_size())
-    ws.fade_scratch = linalg::Vector(link.rx_size());
+  // One track::align_slot. Slot k dwells on TX beam (user_key + k) mod M,
+  // so align_epochs ≥ M covers the TX codebook and the per-session offset
+  // spreads concurrent aligners over it. The cursor sweep is keyed by
+  // user_key and s.cursor counts probes spent, so a fresh session (rank 0)
+  // covers all N RX beams in ⌈N/J⌉ slots.
+  track::SlotSpec spec;
+  spec.tx_beam = static_cast<index_t>(
+      (s.user_key + s.slots_aligned) %
+      static_cast<std::uint64_t>(codebooks_.tx.size()));
+  spec.probes = config_.probes_per_slot;
+  spec.cursor_key = s.user_key;
+  spec.cursor = s.cursor;
+  spec.fades = sc.fades_per_measurement;
+  spec.fold = config_.estimator == EstimatorKind::kWarmMl
+                  ? track::SlotFold::kWarmMl
+                  : track::SlotFold::kBeamSpace;
+  spec.noise_var = noise_var;
   mac::ProbeView view;
   view.link = &link;
   view.tx_codebook = &codebooks_.tx;
   view.rx_codebook = &codebooks_.rx;
   view.gamma = 1.0 / noise_var;
   view.blockage_probability = config_.blockage_probability;
+  ws.components.clear();
+  for (index_t i = 0; i < s.rank; ++i)
+    ws.components.push_back({static_cast<index_t>(s.comp_beam[i]),
+                             static_cast<real>(s.comp_weight[i])});
+  if (!track::align_slot(view, spec, ws.components, rng, ws.slot))
+    ++frame.nonconverged;  // kWarmMl ladder rung (observe only)
 
-  ws.probe_energy.clear();
-  for (const index_t rx : ws.probe_rx) {
-    const real e = mac::probe_energy(view, tx, rx, sc.fades_per_measurement,
-                                     rng, ws.fade_scratch);
-    ws.probe_energy.push_back(e);
+  // Best pair so far, raised per probe against the resident float energy.
+  const index_t j = ws.slot.probe_rx.size();
+  for (index_t i = 0; i < j; ++i) {
+    const real e = ws.slot.probe_energy[i];
     if (e > static_cast<real>(s.trained_energy)) {
       s.trained_energy = static_cast<float>(e);
-      s.tx_beam = static_cast<std::uint16_t>(tx);
-      s.rx_beam = static_cast<std::uint16_t>(rx);
+      s.tx_beam = static_cast<std::uint16_t>(spec.tx_beam);
+      s.rx_beam = static_cast<std::uint16_t>(ws.slot.probe_rx[i]);
     }
   }
   frame.measurement_slots += j;
   s.cursor += static_cast<std::uint32_t>(j);
-
-  // Fold the slot's energies into the resident beam-space covariance.
-  std::vector<estimation::BeamComponent> merged;
-  if (config_.estimator == EstimatorKind::kWarmMl) {
-    ws.measurements.clear();
-    for (index_t i = 0; i < ws.probe_rx.size(); ++i)
-      ws.measurements.push_back(
-          {codebooks_.rx.codeword(ws.probe_rx[i]), ws.probe_energy[i]});
-    estimation::WarmMlFold fold = estimation::fold_warm_ml(
-        ws.prior, prior_q, ws.measurements, 1.0 / noise_var,
-        config_.forgetting, codebooks_.rx, kMaxComponents, ws.scores);
-    if (!fold.converged) ++frame.nonconverged;  // ladder rung (observe only)
-    merged = std::move(fold.components);
-  } else {
-    ws.update.clear();
-    for (index_t i = 0; i < ws.probe_rx.size(); ++i) {
-      const real w = std::max(ws.probe_energy[i] - noise_var, 0.0);
-      if (w > 0.0) ws.update.push_back({ws.probe_rx[i], w});
-    }
-    merged = estimation::merge_beam_space(ws.prior, config_.forgetting,
-                                          ws.update, kMaxComponents);
-  }
+  const std::vector<estimation::BeamComponent>& merged = ws.components;
   s.rank = static_cast<std::uint8_t>(merged.size());
   for (index_t i = 0; i < kMaxComponents; ++i) {
     s.comp_beam[i] =

@@ -52,6 +52,7 @@
 #include "serve/slab.h"
 #include "sim/scenario.h"
 #include "sim/topology.h"
+#include "track/policy.h"
 
 namespace mmw::serve {
 
@@ -109,18 +110,20 @@ struct ServeConfig {
   /// Mean sojourn (epochs) drawn exponentially at admission; 0 = immortal.
   real mean_sojourn_epochs = 0.0;
 
-  /// Alignment slots before a session claims its pair and starts tracking.
+  /// Alignment slots before a session claims its pair and starts tracking
+  /// (1 to 255: UserSession counts them in a byte).
   index_t align_epochs = 2;
   /// Matched-filter probes per alignment slot (the paper's J).
   index_t probes_per_slot = 4;
   /// Fades averaged per tracking-epoch verification probe.
   index_t track_fades = 2;
   /// Outage declaration: tracked energy fell this many dB below the
-  /// trained energy (mac::Session::RealignmentPolicy semantics).
-  real collapse_db = 10.0;
+  /// trained energy (mac::Session::RealignmentPolicy semantics). Shared
+  /// with the trackers, like the forgetting factor below.
+  static constexpr real collapse_db = track::TrackerOptions::collapse_db;
   /// Beam-space forgetting factor ρ: prior weights scale by ρ each
-  /// alignment slot (1 = accumulate forever).
-  real forgetting = 0.7;
+  /// alignment slot.
+  static constexpr real forgetting = track::TrackerOptions::forgetting;
   /// Per-slot Bernoulli blockage probability (alignment and tracking).
   real blockage_probability = 0.0;
 

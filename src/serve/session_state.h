@@ -21,12 +21,15 @@
 #include <type_traits>
 
 #include "linalg/common.h"
+#include "track/policy.h"
 
 namespace mmw::serve {
 
 /// Beam-space covariance components kept per session (r in the paper's
-/// low-rank story; 6 covers the NYC multipath clusters with room to spare).
-inline constexpr index_t kMaxComponents = 6;
+/// low-rank story; 6 covers the NYC multipath clusters with room to spare)
+/// — the trackers' budget too.
+inline constexpr index_t kMaxComponents =
+    track::TrackerOptions::max_components;
 
 /// Hard resident-memory budget per session, enforced at compile time below
 /// and re-checked against the slab pool's accounting in the E9 bench

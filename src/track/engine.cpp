@@ -79,8 +79,7 @@ void run_shard(const TrackingConfig& config, const sim::Topology& topology,
   const sim::Trajectory trajectory(topology, config.mobility.speed_mps,
                                    config.mobility.epoch_seconds, sc.seed,
                                    user);
-  std::unique_ptr<Tracker> tracker = make_tracker(kind, config.options);
-  tracker->reset();
+  std::unique_ptr<Tracker> tracker = make_tracker(kind);
 
   const auto evolution_for = [&](index_t site) {
     randgen::Rng link_rng =

@@ -49,7 +49,6 @@ struct TrackingConfig {
   /// from `mobility` so one knob drives geometry and channel alike.
   channel::EvolutionConfig evolution;
   sim::MobilityConfig mobility;
-  TrackerOptions options;
 
   index_t users = 16;
   index_t epochs = 64;

@@ -4,228 +4,170 @@
 #include <cmath>
 #include <limits>
 
-#include "mac/probe.h"
-#include "track/policy.h"
-
 namespace mmw::track {
 
 namespace {
-
-real collapse_scale(const TrackerOptions& o) {
-  return std::pow(10.0, -o.collapse_db / 10.0);
-}
-
-/// One matched-filter probe through the shared mac chain (no blockage
-/// Bernoulli here — blockage is a deterministic large-scale state of the
-/// evolved link, not per-probe noise).
-class ProbeRig {
- public:
-  real probe(const TrackerContext& ctx, index_t tx, index_t rx) {
-    if (scratch_.size() != ctx.link->rx_size())
-      scratch_ = linalg::Vector(ctx.link->rx_size());
-    mac::ProbeView view;
-    view.link = ctx.link;
-    view.tx_codebook = ctx.tx_codebook;
-    view.rx_codebook = ctx.rx_codebook;
-    view.gamma = ctx.gamma;
-    return mac::probe_energy(view, tx, rx, ctx.fades, *ctx.rng, scratch_);
-  }
-
- private:
-  linalg::Vector scratch_;
-};
-
-struct SweepOutcome {
-  index_t tx = 0, rx = 0;
-  real energy = -1.0;
-  index_t probes = 0;
-};
-
-/// Exhaustive raster sweep; per-RX best excess lands in `rx_excess` (sized
-/// by the callee) for beam-space compression. Ties → first seen (lowest
-/// raster index).
-SweepOutcome full_sweep(const TrackerContext& ctx, ProbeRig& rig,
-                        std::vector<real>& rx_excess) {
-  const index_t m = ctx.tx_codebook->size();
-  const index_t n = ctx.rx_codebook->size();
-  const real noise = 1.0 / ctx.gamma;
-  rx_excess.assign(n, 0.0);
-  SweepOutcome out;
-  for (index_t t = 0; t < m; ++t)
-    for (index_t r = 0; r < n; ++r) {
-      const real e = rig.probe(ctx, t, r);
-      if (e > out.energy) {
-        out.energy = e;
-        out.tx = t;
-        out.rx = r;
-      }
-      rx_excess[r] = std::max(rx_excess[r], e - noise);
-      ++out.probes;
-    }
-  return out;
-}
 
 /// Compresses per-RX excess energies to the canonical component list (top
 /// max_components positive weights, ascending beam order) via the codec's
 /// merge with an empty prior.
 std::vector<estimation::BeamComponent> components_from_excess(
-    const std::vector<real>& rx_excess, index_t max_components) {
+    const std::vector<real>& rx_excess) {
   std::vector<estimation::BeamComponent> update;
   for (index_t r = 0; r < rx_excess.size(); ++r)
     if (rx_excess[r] > 0.0) update.push_back({r, rx_excess[r]});
-  return estimation::merge_beam_space({}, 0.0, update, max_components);
+  return estimation::merge_beam_space({}, 0.0, update,
+                                      TrackerOptions::max_components);
 }
+
+mac::ProbeView probe_view(const TrackerContext& ctx) {
+  mac::ProbeView view;
+  view.link = ctx.link;
+  view.tx_codebook = ctx.tx_codebook;
+  view.rx_codebook = ctx.rx_codebook;
+  view.gamma = ctx.gamma;
+  return view;
+}
+
+/// What every tracker shares: the claimed BeamState, one matched-filter
+/// probe through the shared mac chain (no blockage Bernoulli here —
+/// blockage is a deterministic large-scale state of the evolved link, not
+/// per-probe noise), the acquisition sweep, the one-probe collapse check
+/// and the report.
+class TrackerCore : public Tracker {
+ public:
+  BeamState export_state() const override { return state_; }
+
+ protected:
+  real probe(const TrackerContext& ctx, index_t tx, index_t rx) {
+    if (fade_.size() != ctx.link->rx_size())
+      fade_ = linalg::Vector(ctx.link->rx_size());
+    return mac::probe_energy(probe_view(ctx), tx, rx, ctx.fades, *ctx.rng,
+                             fade_);
+  }
+
+  /// Exhaustive raster sweep, claimed outright: the best pair (ties → first
+  /// seen, the lowest raster index) and its energy, plus the components of
+  /// the per-RX best excess, which stays in rx_excess_. Returns the probes.
+  index_t acquire(const TrackerContext& ctx) {
+    const index_t m = ctx.tx_codebook->size();
+    const index_t n = ctx.rx_codebook->size();
+    const real noise = 1.0 / ctx.gamma;
+    rx_excess_.assign(n, 0.0);
+    mac::MeasurementRecord best{0, 0, -1.0};
+    for (index_t t = 0; t < m; ++t)
+      for (index_t r = 0; r < n; ++r) {
+        const real e = probe(ctx, t, r);
+        if (e > best.energy) best = {t, r, e};
+        rx_excess_[r] = std::max(rx_excess_[r], e - noise);
+      }
+    state_.tx_beam = best.tx_beam;
+    state_.rx_beam = best.rx_beam;
+    state_.trained_energy = best.energy;
+    state_.components = components_from_excess(rx_excess_);
+    return m * n;
+  }
+
+  /// Energy below which the claimed pair counts as collapsed.
+  real collapse_threshold() const {
+    return state_.trained_energy *
+           mac::collapse_scale(TrackerOptions::collapse_db);
+  }
+
+  /// The one-probe collapse check of the claimed pair.
+  struct Verify {
+    real energy;
+    bool collapsed;
+  };
+  Verify verify(const TrackerContext& ctx) {
+    const real e = probe(ctx, state_.tx_beam, state_.rx_beam);
+    return {e, e < collapse_threshold()};
+  }
+
+  TrackerReport report(index_t probes, bool realigned,
+                       bool outage = false) const {
+    return {state_.tx_beam, state_.rx_beam, probes, realigned, outage};
+  }
+
+  BeamState state_;
+  std::vector<real> rx_excess_;
+
+ private:
+  linalg::Vector fade_;
+};
 
 // ---------------------------------------------------------------------------
 // Cold start: the baseline that re-aligns from scratch every epoch.
-class ColdStartTracker final : public Tracker {
+class ColdStartTracker final : public TrackerCore {
  public:
-  explicit ColdStartTracker(const TrackerOptions& options)
-      : options_(options) {}
-
-  std::string_view name() const override { return "cold_start"; }
-
-  void reset() override { state_ = BeamState{}; }
-
   TrackerReport step(const TrackerContext& ctx) override {
-    const SweepOutcome sweep = full_sweep(ctx, rig_, rx_excess_);
-    state_.tx_beam = sweep.tx;
-    state_.rx_beam = sweep.rx;
-    state_.trained_energy = sweep.energy;
-    state_.components =
-        components_from_excess(rx_excess_, options_.max_components);
-    TrackerReport report;
-    report.tx_beam = sweep.tx;
-    report.rx_beam = sweep.rx;
-    report.probes = sweep.probes;
-    report.realigned = true;
-    return report;
+    return report(acquire(ctx), true);
   }
-
-  BeamState export_state() const override { return state_; }
 
   void import_state(const BeamState& state) override {
     // A cold-start tracker re-sweeps next epoch regardless; the imported
     // pair only seeds the report until then.
     state_ = state;
   }
-
- private:
-  TrackerOptions options_;
-  ProbeRig rig_;
-  std::vector<real> rx_excess_;
-  BeamState state_;
 };
 
 // ---------------------------------------------------------------------------
 // Warm covariance-ML re-entry.
-class WarmMlTracker final : public Tracker {
+class WarmMlTracker final : public TrackerCore {
  public:
-  explicit WarmMlTracker(const TrackerOptions& options) : options_(options) {}
-
-  std::string_view name() const override { return "warm_ml"; }
-
-  void reset() override {
-    state_ = BeamState{};
-    aligning_ = true;
-    bootstrapped_ = false;
-    slots_ = 0;
-    cursor_ = 0;
-    phase_energy_ = -1.0;
-  }
-
   TrackerReport step(const TrackerContext& ctx) override {
-    TrackerReport report;
     if (!aligning_) {
-      const real e = rig_.probe(ctx, state_.tx_beam, state_.rx_beam);
-      report.probes = 1;
-      if (e < state_.trained_energy * collapse_scale(options_)) {
-        report.outage = true;
-        aligning_ = true;
-        slots_ = 0;
-        phase_energy_ = -1.0;
-      }
-      report.tx_beam = state_.tx_beam;
-      report.rx_beam = state_.rx_beam;
-      return report;
+      const bool outage = verify(ctx).collapsed;
+      if (outage) restart();
+      return report(1, false, outage);
     }
-    report.realigned = true;
     if (!bootstrapped_) {
       // Nothing to warm-start from: acquire once like a cold attach.
-      const SweepOutcome sweep = full_sweep(ctx, rig_, scores_);
-      state_.tx_beam = sweep.tx;
-      state_.rx_beam = sweep.rx;
-      state_.trained_energy = sweep.energy;
-      state_.components =
-          components_from_excess(scores_, options_.max_components);
-      report.probes = sweep.probes;
+      const index_t probes = acquire(ctx);
       bootstrapped_ = true;
       aligning_ = false;
-      report.tx_beam = sweep.tx;
-      report.rx_beam = sweep.rx;
-      return report;
+      return report(probes, true);
     }
-    report.probes = align_slot(ctx);
-    report.tx_beam = state_.tx_beam;
-    report.rx_beam = state_.rx_beam;
-    return report;
+    return report(realign_slot(ctx), true);
   }
-
-  BeamState export_state() const override { return state_; }
 
   void import_state(const BeamState& state) override {
     state_ = state;
     state_.trained_energy = -1.0;  // foreign site: the claim is a hypothesis
-    aligning_ = true;
     bootstrapped_ = true;  // the prior replaces the bootstrap sweep
+    restart();
+  }
+
+ private:
+  void restart() {
+    aligning_ = true;
     slots_ = 0;
     phase_energy_ = -1.0;
   }
 
- private:
-  /// One covariance-directed re-alignment slot (the serving engine's
-  /// alignment shape, warm-started from the resident prior): TX dwells on
-  /// the last claimed beam then cycles, RX probes the prior's top scoring
-  /// codewords plus cursor exploration, energies feed the warm-ML fold.
-  index_t align_slot(const TrackerContext& ctx) {
-    const index_t m = ctx.tx_codebook->size();
-    const index_t n = ctx.rx_codebook->size();
-    const index_t j = std::min(options_.probes_per_slot, n);
-    const real noise = 1.0 / ctx.gamma;
-    const index_t tx =
-        static_cast<index_t>((state_.tx_beam + slots_) % m);
-
-    const linalg::FactoredHermitian prior_q =
-        estimation::expand_beam_space(state_.components, *ctx.rx_codebook);
-    if (scores_.size() != n) scores_.assign(n, 0.0);
-    probe_rx_.clear();
-    if (!prior_q.empty()) {
-      ctx.rx_codebook->covariance_scores_into(prior_q, scores_);
-      append_covariance_probes(scores_, j > 1 ? j - 1 : 1, probe_rx_);
-    }
-    append_cursor_probes(0, cursor_, n, j, probe_rx_);
-    std::sort(probe_rx_.begin(), probe_rx_.end());
-    cursor_ += j;
-
-    measurements_.clear();
-    for (const index_t rx : probe_rx_) {
-      const real e = rig_.probe(ctx, tx, rx);
-      measurements_.push_back({ctx.rx_codebook->codeword(rx), e});
-      if (e > phase_energy_) {
-        phase_energy_ = e;
-        phase_tx_ = tx;
-        phase_rx_ = rx;
+  /// One re-alignment slot (track::align_slot, warm-started from the
+  /// resident prior): TX dwells on the last claimed beam then cycles, the
+  /// cursor sweep is keyed 0, and after align_slots slots the phase's best
+  /// probe is claimed if it clears the noise floor. Returns probes spent.
+  index_t realign_slot(const TrackerContext& ctx) {
+    SlotSpec spec;
+    spec.tx_beam = (state_.tx_beam + slots_) % ctx.tx_codebook->size();
+    spec.probes = TrackerOptions::probes_per_slot;
+    spec.cursor = cursor_;
+    spec.fades = ctx.fades;
+    spec.fold = SlotFold::kWarmMl;
+    align_slot(probe_view(ctx), spec, state_.components, *ctx.rng, slot_);
+    const index_t j = slot_.probe_rx.size();
+    for (index_t i = 0; i < j; ++i)
+      if (slot_.probe_energy[i] > phase_energy_) {
+        phase_energy_ = slot_.probe_energy[i];
+        phase_tx_ = spec.tx_beam;
+        phase_rx_ = slot_.probe_rx[i];
       }
-    }
-    state_.components =
-        estimation::fold_warm_ml(state_.components, prior_q, measurements_,
-                                 ctx.gamma, options_.forgetting,
-                                 *ctx.rx_codebook, options_.max_components,
-                                 scores_)
-            .components;
-
+    cursor_ += j;
     ++slots_;
-    if (slots_ >= options_.align_slots && phase_energy_ > noise) {
+    if (slots_ >= TrackerOptions::align_slots &&
+        phase_energy_ > 1.0 / ctx.gamma) {
       state_.tx_beam = phase_tx_;
       state_.rx_beam = phase_rx_;
       state_.trained_energy = phase_energy_;
@@ -234,79 +176,36 @@ class WarmMlTracker final : public Tracker {
     return j;
   }
 
-  TrackerOptions options_;
-  ProbeRig rig_;
-  BeamState state_;
   bool aligning_ = true;
   bool bootstrapped_ = false;
   index_t slots_ = 0;
   std::uint64_t cursor_ = 0;
   real phase_energy_ = -1.0;
   index_t phase_tx_ = 0, phase_rx_ = 0;
-  std::vector<real> scores_;
-  std::vector<index_t> probe_rx_;
-  std::vector<estimation::BeamMeasurement> measurements_;
+  SlotScratch slot_;
 };
 
 // ---------------------------------------------------------------------------
 // Neighborhood re-scan (the session's widened-window recovery as a
 // tracker).
-class NeighborhoodTracker final : public Tracker {
+class NeighborhoodTracker final : public TrackerCore {
  public:
-  explicit NeighborhoodTracker(const TrackerOptions& options)
-      : options_(options) {}
-
-  std::string_view name() const override { return "neighborhood"; }
-
-  void reset() override {
-    state_ = BeamState{};
-    aligned_ = false;
-    reacquire_ = false;
-  }
-
   TrackerReport step(const TrackerContext& ctx) override {
-    TrackerReport report;
     if (!aligned_) {
-      const SweepOutcome sweep = full_sweep(ctx, rig_, rx_excess_);
-      state_.tx_beam = sweep.tx;
-      state_.rx_beam = sweep.rx;
-      state_.trained_energy = sweep.energy;
-      state_.components =
-          components_from_excess(rx_excess_, options_.max_components);
       aligned_ = true;
-      report.tx_beam = sweep.tx;
-      report.rx_beam = sweep.rx;
-      report.probes = sweep.probes;
-      report.realigned = true;
-      return report;
+      return report(acquire(ctx), true);
     }
     if (reacquire_) {
       // Post-handover: the imported pair is a hypothesis on a new site —
       // rescan its widest window immediately instead of trusting it.
       reacquire_ = false;
-      report.probes = scan_windows(ctx, options_.max_retries);
-      report.tx_beam = state_.tx_beam;
-      report.rx_beam = state_.rx_beam;
-      report.realigned = true;
-      return report;
+      return report(scan_windows(ctx), true);
     }
-    const real e = rig_.probe(ctx, state_.tx_beam, state_.rx_beam);
-    report.probes = 1;
-    if (e >= state_.trained_energy * collapse_scale(options_)) {
-      report.tx_beam = state_.tx_beam;
-      report.rx_beam = state_.rx_beam;
-      return report;
-    }
-    report.outage = true;
-    report.realigned = true;
-    best_ = {state_.tx_beam, state_.rx_beam, e};
-    report.probes += scan_windows(ctx, options_.max_retries);
-    report.tx_beam = state_.tx_beam;
-    report.rx_beam = state_.rx_beam;
-    return report;
+    const Verify v = verify(ctx);
+    if (!v.collapsed) return report(1, false);
+    best_ = {state_.tx_beam, state_.rx_beam, v.energy};
+    return report(1 + scan_windows(ctx), true, true);
   }
-
-  BeamState export_state() const override { return state_; }
 
   void import_state(const BeamState& state) override {
     state_ = state;
@@ -321,13 +220,12 @@ class NeighborhoodTracker final : public Tracker {
   /// Session::verify_and_realign the ledger starts empty, so after an
   /// outage the first window re-probes the pair just verified. Returns
   /// probes spent, updates state_.
-  index_t scan_windows(const TrackerContext& ctx, index_t retries) {
+  index_t scan_windows(const TrackerContext& ctx) {
     const index_t m = ctx.tx_codebook->size();
     const index_t n = ctx.rx_codebook->size();
-    const real threshold =
-        state_.trained_energy > 0.0
-            ? state_.trained_energy * collapse_scale(options_)
-            : std::numeric_limits<real>::infinity();
+    const real threshold = state_.trained_energy > 0.0
+                               ? collapse_threshold()
+                               : std::numeric_limits<real>::infinity();
     if (best_.energy < 0.0) {
       best_.tx_beam = state_.tx_beam;
       best_.rx_beam = state_.rx_beam;
@@ -335,60 +233,40 @@ class NeighborhoodTracker final : public Tracker {
     index_t probes = 0;
     probed_.assign(m * n, false);
     const bool recovered = mac::rescan_windows(
-        m, n, retries, options_.widen_radius, threshold, probed_, best_,
-        [&](index_t t, index_t r) {
+        m, n, TrackerOptions::max_retries, TrackerOptions::widen_radius,
+        threshold, probed_, best_, [&](index_t t, index_t r) {
           ++probes;
-          return rig_.probe(ctx, t, r);
+          return probe(ctx, t, r);
         });
     if (!recovered && state_.trained_energy > 0.0) {
       // The window missed: the pair moved further than drift explains.
-      const SweepOutcome sweep = full_sweep(ctx, rig_, rx_excess_);
-      probes += sweep.probes;
-      best_ = {sweep.tx, sweep.rx, sweep.energy};
-      state_.components =
-          components_from_excess(rx_excess_, options_.max_components);
+      probes += acquire(ctx);
+    } else {
+      state_.tx_beam = best_.tx_beam;
+      state_.rx_beam = best_.rx_beam;
+      state_.trained_energy = best_.energy;
     }
-    state_.tx_beam = best_.tx_beam;
-    state_.rx_beam = best_.rx_beam;
-    state_.trained_energy = best_.energy;
     best_.energy = -1.0;
     return probes;
   }
 
-  TrackerOptions options_;
-  ProbeRig rig_;
-  BeamState state_;
   bool aligned_ = false;
   bool reacquire_ = false;
   mac::MeasurementRecord best_{0, 0, -1.0};  ///< energy < 0: unseeded
   std::vector<bool> probed_;
-  std::vector<real> rx_excess_;
 };
 
 // ---------------------------------------------------------------------------
 // Correlated UCB bandit over beam pairs.
-class BanditTracker final : public Tracker {
+class BanditTracker final : public TrackerCore {
  public:
-  explicit BanditTracker(const TrackerOptions& options) : options_(options) {}
-
-  std::string_view name() const override { return "bandit_ucb"; }
-
-  void reset() override {
-    mu_.clear();
-    weight_.clear();
-    initialized_ = false;
-    t_ = 0;
-    state_ = BeamState{};
-  }
-
   TrackerReport step(const TrackerContext& ctx) override {
     const index_t m = ctx.tx_codebook->size();
     const index_t n = ctx.rx_codebook->size();
     ensure_arms(m, n);
-    TrackerReport report;
     if (!initialized_) {
       // Cold attach: one exhaustive pass seeds every arm.
-      const SweepOutcome sweep = full_sweep(ctx, rig_, rx_excess_);
+      const index_t probes = acquire(ctx);
       const real noise = 1.0 / ctx.gamma;
       // Storing every pair's sweep energy would defeat the point of a
       // bandit; seed arm means from the per-RX excess (shared across the
@@ -396,22 +274,19 @@ class BanditTracker final : public Tracker {
       for (index_t t = 0; t < m; ++t)
         for (index_t r = 0; r < n; ++r) mu_[t * n + r] = rx_excess_[r] + noise;
       weight_.assign(m * n, 0.5);
-      mu_[sweep.tx * n + sweep.rx] = sweep.energy;
-      weight_[sweep.tx * n + sweep.rx] = 1.0;
+      const index_t swept = state_.tx_beam * n + state_.rx_beam;
+      mu_[swept] = state_.trained_energy;
+      weight_[swept] = 1.0;
       initialized_ = true;
       t_ = 1;
-      report.probes = sweep.probes;
-      report.realigned = true;
       claim(n);
-      report.tx_beam = state_.tx_beam;
-      report.rx_beam = state_.rx_beam;
-      return report;
+      return report(probes, true);
     }
 
     ++t_;
-    for (real& w : weight_) w *= options_.bandit_forgetting;
+    for (real& w : weight_) w *= TrackerOptions::bandit_forgetting;
     const index_t pulls =
-        std::min<index_t>(options_.bandit_probes, mu_.size());
+        std::min<index_t>(TrackerOptions::bandit_probes, mu_.size());
     // Select all arms first (UCB without replacement, ties → lowest
     // index), then probe in ascending arm order — the canonical
     // measurement order every other engine uses.
@@ -426,7 +301,7 @@ class BanditTracker final : public Tracker {
         if (std::find(pulls_.begin(), pulls_.end(), a) != pulls_.end())
           continue;
         const real bonus =
-            options_.ucb_c * scale *
+            TrackerOptions::ucb_c * scale *
             std::sqrt(std::log(static_cast<real>(t_) + 1.0) /
                       std::max(weight_[a], 1e-3));
         const real score = mu_[a] + bonus;
@@ -441,24 +316,20 @@ class BanditTracker final : public Tracker {
     const index_t old_tx = state_.tx_beam, old_rx = state_.rx_beam;
     for (const index_t a : pulls_) {
       const index_t t = a / n, r = a % n;
-      const real e = rig_.probe(ctx, t, r);
+      const real e = probe(ctx, t, r);
       absorb(a, e, 1.0);
       // Correlated update: adjacent arms on either beam axis share the
       // reward at a discount (the angular overlap of neighboring
       // codewords makes their means strongly correlated).
-      const real k = options_.neighbor_coupling;
+      const real k = TrackerOptions::neighbor_coupling;
       if (r > 0) absorb(a - 1, e, k);
       if (r + 1 < n) absorb(a + 1, e, k);
       if (t > 0) absorb(a - n, e, k);
       if (t + 1 < m) absorb(a + n, e, k);
-      ++report.probes;
     }
     claim(n);
-    report.tx_beam = state_.tx_beam;
-    report.rx_beam = state_.rx_beam;
-    report.realigned =
-        state_.tx_beam != old_tx || state_.rx_beam != old_rx;
-    return report;
+    return report(pulls_.size(),
+                  state_.tx_beam != old_tx || state_.rx_beam != old_rx);
   }
 
   BeamState export_state() const override {
@@ -472,8 +343,7 @@ class BanditTracker final : public Tracker {
       // contract holds whatever the noise level was.
       const real floor = *std::min_element(rx_best.begin(), rx_best.end());
       for (real& v : rx_best) v = std::max(v - floor, 0.0);
-      out.components =
-          components_from_excess(rx_best, options_.max_components);
+      out.components = components_from_excess(rx_best);
     }
     return out;
   }
@@ -524,17 +394,13 @@ class BanditTracker final : public Tracker {
     state_.trained_energy = mu_[best];
   }
 
-  TrackerOptions options_;
-  ProbeRig rig_;
   std::vector<real> mu_;      ///< arm mean energy
   std::vector<real> weight_;  ///< arm evidence weight (decayed)
   std::vector<index_t> pulls_;
-  std::vector<real> rx_excess_;
   std::vector<estimation::BeamComponent> pending_prior_;
   bool has_pending_prior_ = false;
   bool initialized_ = false;
   std::uint64_t t_ = 0;
-  BeamState state_;
   index_t rx_count_ = 0;
 };
 
@@ -551,17 +417,16 @@ const char* tracker_name(TrackerKind kind) {
   return "";
 }
 
-std::unique_ptr<Tracker> make_tracker(TrackerKind kind,
-                                      const TrackerOptions& options) {
+std::unique_ptr<Tracker> make_tracker(TrackerKind kind) {
   switch (kind) {
     case TrackerKind::kColdStart:
-      return std::make_unique<ColdStartTracker>(options);
+      return std::make_unique<ColdStartTracker>();
     case TrackerKind::kWarmMl:
-      return std::make_unique<WarmMlTracker>(options);
+      return std::make_unique<WarmMlTracker>();
     case TrackerKind::kNeighborhood:
-      return std::make_unique<NeighborhoodTracker>(options);
+      return std::make_unique<NeighborhoodTracker>();
     case TrackerKind::kBanditUcb:
-      return std::make_unique<BanditTracker>(options);
+      return std::make_unique<BanditTracker>();
   }
   MMW_REQUIRE_MSG(false, "unknown tracker kind");
   return nullptr;

@@ -10,8 +10,8 @@
 //    bound and loss lower bound the E10 bench grades everything against.
 //  - kWarmMl: covariance-ML re-entry — verify one probe per epoch; on
 //    collapse, re-align with covariance-directed slots warm-started from
-//    the resident beam-space prior (estimation/beamspace expand/compress,
-//    the PR-8 codec).
+//    the resident beam-space prior (track::align_slot, the serving
+//    engine's alignment slot).
 //  - kNeighborhood: verify one probe per epoch; on collapse, re-scan
 //    widening Chebyshev windows around the last pair (mac::rescan_windows,
 //    the loop of Session::verify_and_realign), falling back to a full
@@ -28,13 +28,13 @@
 #pragma once
 
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "antenna/codebook.h"
 #include "channel/link.h"
 #include "estimation/beamspace.h"
 #include "randgen/rng.h"
+#include "track/policy.h"
 
 namespace mmw::track {
 
@@ -80,30 +80,10 @@ enum class TrackerKind : std::uint8_t {
   kBanditUcb = 3,
 };
 
-/// Tuning knobs shared by every tracker (each reads the subset it needs).
-struct TrackerOptions {
-  // -- verify/re-align (warm + neighborhood) --------------------------------
-  real collapse_db = 10.0;    ///< outage: energy fell this far below trained
-  index_t probes_per_slot = 8;   ///< J probes per warm re-alignment slot
-  index_t align_slots = 2;       ///< warm re-alignment slots before claiming
-  real forgetting = 0.7;         ///< beam-space merge factor across slots
-  index_t max_components = 6;    ///< resident component budget (serve parity)
-  // -- neighborhood window --------------------------------------------------
-  index_t widen_radius = 2;   ///< window radius grows by this per retry
-  index_t max_retries = 2;    ///< widening retries before full-sweep fallback
-  // -- bandit ---------------------------------------------------------------
-  index_t bandit_probes = 2;     ///< arms pulled per epoch in steady state
-  real ucb_c = 2.0;              ///< exploration weight
-  real bandit_forgetting = 0.98; ///< per-epoch decay of arm statistics
-  real neighbor_coupling = 0.5;  ///< reward share granted to adjacent arms
-};
-
+/// A freshly built tracker is in the never-aligned state.
 class Tracker {
  public:
   virtual ~Tracker() = default;
-  virtual std::string_view name() const = 0;
-  /// Back to the never-aligned state (forgets any imported prior).
-  virtual void reset() = 0;
   /// One tracking epoch over the context's link.
   virtual TrackerReport step(const TrackerContext& ctx) = 0;
   /// Canonical beam-space snapshot (the handover wire format).
@@ -115,7 +95,6 @@ class Tracker {
 
 const char* tracker_name(TrackerKind kind);
 
-std::unique_ptr<Tracker> make_tracker(TrackerKind kind,
-                                      const TrackerOptions& options);
+std::unique_ptr<Tracker> make_tracker(TrackerKind kind);
 
 }  // namespace mmw::track

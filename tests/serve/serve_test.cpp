@@ -156,6 +156,22 @@ TEST(ServingEngine, SessionsClaimPairsAndTrack) {
   EXPECT_GE(r.epochs.back().mean_loss_db, 0.0);
 }
 
+TEST(ServingEngine, AlignEpochsMustFitTheSessionSlotCounter) {
+  // UserSession counts alignment slots in a byte: at 256 it would wrap to 0
+  // before reaching the threshold and no session would ever claim.
+  ServeConfig cfg = tiny_config();
+  cfg.initial_sessions = 8;
+  cfg.align_epochs = 256;
+  EXPECT_THROW(ServingEngine{cfg}, precondition_error);
+
+  // The largest accepted value claims on the slot it promises.
+  cfg.align_epochs = 255;
+  ServingEngine engine(cfg);
+  std::uint64_t claims = 0;
+  for (index_t e = 0; e < 255; ++e) claims += engine.step_epoch().claims;
+  EXPECT_EQ(claims, cfg.initial_sessions);
+}
+
 TEST(ServingEngine, BlockageDrivesOutagesAndRealignment) {
   ServeConfig cfg = tiny_config();
   cfg.epochs = 10;

@@ -85,16 +85,13 @@ TEST(TrackerFactoryTest, NamesMatchKinds) {
   for (const TrackerKind k :
        {TrackerKind::kColdStart, TrackerKind::kWarmMl,
         TrackerKind::kNeighborhood, TrackerKind::kBanditUcb}) {
-    const auto tracker = make_tracker(k, TrackerOptions{});
-    ASSERT_NE(tracker, nullptr);
-    EXPECT_EQ(tracker->name(), tracker_name(k));
+    EXPECT_NE(make_tracker(k), nullptr);
   }
 }
 
 TEST(ColdStartTrackerTest, SweepsEveryEpochAndFindsAGoodPair) {
   const Rig rig;
-  auto tracker = make_tracker(TrackerKind::kColdStart, TrackerOptions{});
-  tracker->reset();
+  auto tracker = make_tracker(TrackerKind::kColdStart);
   Rng rng = Rng::stream(1, 2, 3, 4);
   for (index_t e = 0; e < 3; ++e) {
     const TrackerContext ctx = rig.context(rng);
@@ -107,8 +104,7 @@ TEST(ColdStartTrackerTest, SweepsEveryEpochAndFindsAGoodPair) {
 
 TEST(WarmMlTrackerTest, SteadyStateIsOneVerifyProbe) {
   const Rig rig;
-  auto tracker = make_tracker(TrackerKind::kWarmMl, TrackerOptions{});
-  tracker->reset();
+  auto tracker = make_tracker(TrackerKind::kWarmMl);
   Rng rng = Rng::stream(2, 3, 4, 5);
   // Bootstrap epoch: a full acquisition sweep.
   TrackerContext ctx = rig.context(rng);
@@ -127,9 +123,7 @@ TEST(WarmMlTrackerTest, SteadyStateIsOneVerifyProbe) {
 
 TEST(WarmMlTrackerTest, CollapseTriggersOutageAndWarmReentry) {
   const Rig rig;
-  TrackerOptions opt;
-  auto tracker = make_tracker(TrackerKind::kWarmMl, opt);
-  tracker->reset();
+  auto tracker = make_tracker(TrackerKind::kWarmMl);
   Rng rng = Rng::stream(3, 4, 5, 6);
   TrackerContext ctx = rig.context(rng);
   (void)tracker->step(ctx);  // bootstrap
@@ -154,9 +148,7 @@ TEST(WarmMlTrackerTest, CollapseTriggersOutageAndWarmReentry) {
 
 TEST(NeighborhoodTrackerTest, CollapseEscalatesWindowThenFullSweep) {
   const Rig rig;
-  TrackerOptions opt;
-  auto tracker = make_tracker(TrackerKind::kNeighborhood, opt);
-  tracker->reset();
+  auto tracker = make_tracker(TrackerKind::kNeighborhood);
   Rng rng = Rng::stream(4, 5, 6, 7);
   TrackerContext ctx = rig.context(rng);
   TrackerReport r = tracker->step(ctx);  // acquisition sweep
@@ -182,10 +174,7 @@ TEST(NeighborhoodTrackerTest, CollapseEscalatesWindowThenFullSweep) {
 
 TEST(BanditTrackerTest, SteadyStateSpendsBanditProbes) {
   const Rig rig;
-  TrackerOptions opt;
-  opt.bandit_probes = 2;
-  auto tracker = make_tracker(TrackerKind::kBanditUcb, opt);
-  tracker->reset();
+  auto tracker = make_tracker(TrackerKind::kBanditUcb);
   Rng rng = Rng::stream(5, 6, 7, 8);
   TrackerContext ctx = rig.context(rng);
   TrackerReport r = tracker->step(ctx);  // seeding sweep
@@ -203,10 +192,8 @@ TEST(TrackerDeterminismTest, IdenticalStreamsYieldIdenticalRuns) {
        {TrackerKind::kColdStart, TrackerKind::kWarmMl,
         TrackerKind::kNeighborhood, TrackerKind::kBanditUcb}) {
     SCOPED_TRACE(tracker_name(k));
-    auto a = make_tracker(k, TrackerOptions{});
-    auto b = make_tracker(k, TrackerOptions{});
-    a->reset();
-    b->reset();
+    auto a = make_tracker(k);
+    auto b = make_tracker(k);
     for (index_t e = 0; e < 8; ++e) {
       // The engine's stream discipline: a fresh epoch-keyed Rng per step.
       Rng ra = Rng::stream(7, 1, 2, e);
@@ -242,8 +229,7 @@ TEST(TrackerHandoverTest, ExportImportExportIsByteStable) {
        {TrackerKind::kColdStart, TrackerKind::kWarmMl,
         TrackerKind::kNeighborhood, TrackerKind::kBanditUcb}) {
     SCOPED_TRACE(tracker_name(k));
-    auto source = make_tracker(k, TrackerOptions{});
-    source->reset();
+    auto source = make_tracker(k);
     for (index_t e = 0; e < 3; ++e) {
       Rng step_rng = Rng::stream(11, 1, 2, e);
       const TrackerContext ctx = rig.context(step_rng);
@@ -258,8 +244,7 @@ TEST(TrackerHandoverTest, ExportImportExportIsByteStable) {
     for (const estimation::BeamComponent& c : exported.components)
       EXPECT_GT(c.weight, 0.0f);
 
-    auto target = make_tracker(k, TrackerOptions{});
-    target->reset();
+    auto target = make_tracker(k);
     target->import_state(exported);
     const BeamState round = target->export_state();
     EXPECT_EQ(round.tx_beam, exported.tx_beam);
@@ -281,14 +266,12 @@ TEST(TrackerHandoverTest, ImportedPriorIsAHypothesisNotAClaim) {
        {TrackerKind::kWarmMl, TrackerKind::kNeighborhood,
         TrackerKind::kBanditUcb}) {
     SCOPED_TRACE(tracker_name(k));
-    auto source = make_tracker(k, TrackerOptions{});
-    source->reset();
+    auto source = make_tracker(k);
     Rng boot = Rng::stream(13, 1, 2, 0);
     TrackerContext ctx = rig.context(boot);
     (void)source->step(ctx);
 
-    auto target = make_tracker(k, TrackerOptions{});
-    target->reset();
+    auto target = make_tracker(k);
     target->import_state(source->export_state());
     Rng rng = Rng::stream(13, 1, 2, 1);
     TrackerContext re = rig.context(rng);
