@@ -66,25 +66,15 @@ inline void print_header(const char* figure, const char* description,
 }
 
 /// Writes a CSV artifact under bench_results/ (created on demand) so the
-/// figure data can be plotted without re-running the sweep. Failures are
-/// reported but non-fatal: the printed table remains the primary output.
+/// figure data can be plotted without re-running the sweep. Failures
+/// (including a full disk, which may only show when the file is closed)
+/// are reported on stderr but non-fatal: the printed table remains the
+/// primary output, and the "written" line appears only on success.
 inline void write_artifact(const std::string& filename,
                            const std::string& content) {
-  std::error_code ec;
-  std::filesystem::create_directories("bench_results", ec);
-  if (ec) {
-    std::fprintf(stderr, "note: could not create bench_results/: %s\n",
-                 ec.message().c_str());
-    return;
-  }
   const std::string path = "bench_results/" + filename;
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    std::fwrite(content.data(), 1, content.size(), f);
-    std::fclose(f);
+  if (obs::write_text_file(path, content))
     std::printf("(csv written to %s)\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "note: could not write %s\n", path.c_str());
-  }
 }
 
 /// Observability lifecycle shared by every figure/ablation bench: construct
@@ -182,14 +172,14 @@ class BenchRun {
                          counter("estimation.fallback.stressed"));
     manifest_.add_health("sim.trials.quarantined",
                          counter("sim.trials.quarantined"));
-    // Peak scoring-scratch footprint across all worker threads: the arena
-    // never shrinks during a run, so this is the run's steady-state kernel
-    // workspace (bytes, not a rate).
+    // Peak scoring-scratch footprint across all worker threads: the
+    // workspace never shrinks during a run, so this is the run's
+    // steady-state kernel workspace (bytes, not a rate).
     manifest_.add_config("kernels.arena_high_water_bytes",
                          static_cast<std::uint64_t>(
                              linalg::kernels::arena_high_water_bytes()));
     // Process-wide peak resident set (kernel VmHWM) so every manifest
-    // carries a memory high-water mark alongside the arena accounting.
+    // carries a memory high-water mark alongside the workspace accounting.
     manifest_.add_config("peak_rss_bytes", obs::peak_rss_bytes());
     if (ml_nonconverged + em_nonconverged > 0)
       std::fprintf(stderr,

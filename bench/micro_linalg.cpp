@@ -260,7 +260,7 @@ BENCHMARK(BM_SlotCycleWithSolverFactored)->Args({64, 8})->Args({128, 8});
 // per benchmark. Both arms produce bit-identical scores (the kernel layer's
 // equivalence contract); the ratio is pure SIMD throughput. Scoring goes
 // through covariance_scores_into with a reused buffer, so no allocation is
-// timed — only kernel work plus the thread-local arena bump.
+// timed — only kernel work on the thread's reused scoring workspace.
 
 void BM_BatchedScoresScalar(benchmark::State& state) {
   const index_t n = static_cast<index_t>(state.range(0));

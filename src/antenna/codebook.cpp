@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "antenna/steering.h"
 #include "obs/metrics.h"
@@ -131,56 +130,6 @@ index_t Codebook::best_match(const linalg::Vector& v) const {
   return best;
 }
 
-namespace {
-
-/// First index of the maximal score — identical tie behavior to
-/// partial_sort with k = 1 (both keep the earliest maximum).
-index_t argmax_score(std::span<const real> score) {
-  return static_cast<index_t>(
-      std::max_element(score.begin(), score.end()) - score.begin());
-}
-
-/// Top-k indices by descending score. k = 1 skips sorting entirely; larger
-/// k partially sorts the index range — never a full sort of all |V| scores.
-/// Equal scores break by LOWEST codeword index: partial_sort is unstable,
-/// so without the explicit tie-break the order of tied codewords (exact
-/// ties are common — symmetric arrays, rank-deficient estimates, pure-noise
-/// covariances) would be implementation-defined, and the J-th eigen-
-/// directed measurement of the proposed scheme could pick different beams
-/// on different standard libraries or build modes, silently shifting
-/// golden figures (tests/sim/golden_figures_test.cpp).
-std::vector<index_t> top_k_by_score(std::span<const real> score, index_t k) {
-  if (k == 1) return {argmax_score(score)};
-  std::vector<index_t> order(score.size());
-  std::iota(order.begin(), order.end(), index_t{0});
-  std::partial_sort(order.begin(), order.begin() + k, order.end(),
-                    [&](index_t a, index_t b) {
-                      return score[a] != score[b] ? score[a] > score[b]
-                                                  : a < b;
-                    });
-  order.resize(k);
-  return order;
-}
-
-}  // namespace
-
-index_t Codebook::best_for_covariance(const linalg::Matrix& q) const {
-  linalg::kernels::Arena& arena = linalg::kernels::scratch_arena();
-  linalg::kernels::ArenaScope scope(arena);
-  const std::span<real> score = arena.alloc<real>(size());
-  covariance_scores_into(q, score);
-  return argmax_score(score);
-}
-
-index_t Codebook::best_for_covariance(
-    const linalg::FactoredHermitian& q) const {
-  linalg::kernels::Arena& arena = linalg::kernels::scratch_arena();
-  linalg::kernels::ArenaScope scope(arena);
-  const std::span<real> score = arena.alloc<real>(size());
-  covariance_scores_into(q, score);
-  return argmax_score(score);
-}
-
 void Codebook::covariance_scores_into(const linalg::Matrix& q,
                                       std::span<real> out) const {
   MMW_REQUIRE(q.rows() == codewords_.front().size());
@@ -225,24 +174,31 @@ std::vector<real> Codebook::covariance_scores(
   return score;
 }
 
+namespace {
+
+/// Ranks every codeword's score under q. The scores live in the calling
+/// thread's buffer, which persists across calls.
+template <typename Q>
+std::vector<index_t> top_k(const Codebook& cb, const Q& q, index_t k) {
+  MMW_REQUIRE(k >= 1 && k <= cb.size());
+  thread_local std::vector<real> scores;
+  scores.resize(cb.size());
+  cb.covariance_scores_into(q, scores);
+  std::vector<index_t> out;
+  rank_beams(scores, kNoFloor, k, out);
+  return out;
+}
+
+}  // namespace
+
 std::vector<index_t> Codebook::top_k_for_covariance(const linalg::Matrix& q,
                                                     index_t k) const {
-  MMW_REQUIRE(k >= 1 && k <= size());
-  linalg::kernels::Arena& arena = linalg::kernels::scratch_arena();
-  linalg::kernels::ArenaScope scope(arena);
-  const std::span<real> score = arena.alloc<real>(size());
-  covariance_scores_into(q, score);
-  return top_k_by_score(score, k);
+  return top_k(*this, q, k);
 }
 
 std::vector<index_t> Codebook::top_k_for_covariance(
     const linalg::FactoredHermitian& q, index_t k) const {
-  MMW_REQUIRE(k >= 1 && k <= size());
-  linalg::kernels::Arena& arena = linalg::kernels::scratch_arena();
-  linalg::kernels::ArenaScope scope(arena);
-  const std::span<real> score = arena.alloc<real>(size());
-  covariance_scores_into(q, score);
-  return top_k_by_score(score, k);
+  return top_k(*this, q, k);
 }
 
 Codebook Codebook::with_quantized_phases(index_t bits) const {

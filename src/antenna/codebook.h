@@ -2,6 +2,8 @@
 // 2-D grid, with the spatial-adjacency structure the Scan baseline needs.
 #pragma once
 
+#include <algorithm>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -58,19 +60,11 @@ class Codebook {
   /// arbitrary beamforming vector (used to map an eigen-beam into V).
   index_t best_match(const linalg::Vector& v) const;
 
-  /// Codeword index maximizing the Rayleigh quotient c_iᴴ Q c_i (paper
-  /// eq. 26 restricted to the codebook). k = 1 selection is a single
-  /// linear scan — no sort.
-  index_t best_for_covariance(const linalg::Matrix& q) const;
-  index_t best_for_covariance(const linalg::FactoredHermitian& q) const;
-
   /// Indices of the k codewords with the largest cᴴ Q c, descending
-  /// (paper §IV-B2, step 3): partial selection, O(|V| log k) after
-  /// scoring, never a full sort. Exactly tied scores break by lowest
-  /// codeword index, so the ranking is a pure function of the scores —
-  /// independent of standard-library sort internals — which the
-  /// bit-exact determinism contract (DESIGN.md §7) relies on.
-  /// Precondition: 1 ≤ k ≤ size().
+  /// (paper §IV-B2, step 3), ranked by rank_beams with no floor (a NaN
+  /// score never ranks, so only NaN scores can make the list shorter):
+  /// k = 1 is one scan, and the scores live in a per-thread buffer, so the
+  /// call allocates only the returned vector. Precondition: 1 ≤ k ≤ size().
   std::vector<index_t> top_k_for_covariance(const linalg::Matrix& q,
                                             index_t k) const;
   std::vector<index_t> top_k_for_covariance(
@@ -88,7 +82,7 @@ class Codebook {
       const linalg::FactoredHermitian& q) const;
 
   /// Allocation-free variants: write the scores into caller-owned storage
-  /// (kernel workspace comes from the calling thread's scratch arena).
+  /// (kernel workspace comes from the calling thread's scoring workspace).
   /// Feedback loops that score every slot should reuse one buffer across
   /// slots. `out` must not alias the codebook's storage.
   /// Preconditions: out.size() == size(); q sized to the codewords.
@@ -123,5 +117,50 @@ class Codebook {
   index_t grid_y_ = 0;
   bool wraps_ = false;
 };
+
+/// rank_beams' floor under which every non-NaN score above −∞ ranks.
+inline constexpr real kNoFloor = -std::numeric_limits<real>::infinity();
+
+/// The one beam-ranking rule. Appends to `out`, best first, up to `count`
+/// indices i with scores[i] > floor and admit(i): Algorithm 1's J − 1
+/// probes and J-th pick (paper Sec. IV-B), the tracking slot, the bandit's
+/// pulls and the beam-space codec all rank through it. Equal scores go to
+/// the lowest index, so the ranking is a pure function of the scores —
+/// independent of standard-library sort internals — which the bit-exact
+/// determinism contract (DESIGN.md §7) relies on. NaN never ranks.
+/// count == 1 is one linear scan; larger counts filter into `out` and
+/// partially sort, O(|scores| log count), never a full sort.
+template <typename Admit>
+void rank_beams(std::span<const real> scores, real floor, index_t count,
+                Admit&& admit, std::vector<index_t>& out) {
+  if (count == 0) return;
+  if (count == 1) {
+    index_t best = scores.size();
+    real best_score = floor;
+    for (index_t i = 0; i < scores.size(); ++i)
+      if (scores[i] > best_score && admit(i)) {
+        best = i;
+        best_score = scores[i];
+      }
+    if (best < scores.size()) out.push_back(best);
+    return;
+  }
+  const index_t base = out.size();
+  out.reserve(base + scores.size());
+  for (index_t i = 0; i < scores.size(); ++i)
+    if (scores[i] > floor && admit(i)) out.push_back(i);
+  const index_t keep = std::min(count, out.size() - base);
+  std::partial_sort(out.begin() + base, out.begin() + base + keep, out.end(),
+                    [&](index_t a, index_t b) {
+                      return scores[a] != scores[b] ? scores[a] > scores[b]
+                                                    : a < b;
+                    });
+  out.resize(base + keep);
+}
+
+inline void rank_beams(std::span<const real> scores, real floor,
+                       index_t count, std::vector<index_t>& out) {
+  rank_beams(scores, floor, count, [](index_t) { return true; }, out);
+}
 
 }  // namespace mmw::antenna

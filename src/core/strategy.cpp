@@ -1,7 +1,6 @@
 #include "core/strategy.h"
 
 #include <algorithm>
-#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -158,32 +157,27 @@ void ProposedAlignment::run(Session& session) const {
     }
     idle_slots = 0;
 
+    const auto unmeasured_v = [&](index_t v) {
+      return !session.has_measured(u_idx, v);
+    };
+
     // --- Step 1: choose the first J−1 RX beams: the J−1 largest Rayleigh
     // quotients under the previous slot's estimate (Sec. IV-B2); beams the
     // estimate knows nothing about are drawn randomly. -------------------
     const index_t j_explore =
         std::min<index_t>(j_total - 1, unmeasured.size());
     std::vector<index_t> probes;
-    probes.reserve(j_explore);
-    std::vector<bool> picked(rx_cb.size(), false);
+    probes.reserve(rx_cb.size());
     if (q_prev.has_value()) {
       rx_cb.covariance_scores_into(*q_prev, scores);
-      std::vector<index_t> order = unmeasured;
-      // Ties break by lowest codeword index (std::sort is unstable); see
-      // top_k_for_covariance — same determinism requirement.
-      std::sort(order.begin(), order.end(), [&](index_t a, index_t b) {
-        return scores[a] != scores[b] ? scores[a] > scores[b] : a < b;
-      });
-      for (const index_t v : order) {
-        if (probes.size() == j_explore || scores[v] <= beam_floor) break;
-        probes.push_back(v);
-        picked[v] = true;
-      }
+      antenna::rank_beams(scores, beam_floor, j_explore, unmeasured_v,
+                          probes);
     }
     if (probes.size() < j_explore) {
       std::vector<index_t> rest;
       for (const index_t v : unmeasured)
-        if (!picked[v]) rest.push_back(v);
+        if (std::find(probes.begin(), probes.end(), v) == probes.end())
+          rest.push_back(v);
       const auto shuffle = session.rng().permutation(rest.size());
       for (const index_t k : shuffle) {
         if (probes.size() == j_explore) break;
@@ -204,17 +198,17 @@ void ProposedAlignment::run(Session& session) const {
     // --- Step 3: J-th measurement along the best unmeasured codeword under
     // Q̂ (eq. 26 restricted to the codebook). -----------------------------
     if (session.exhausted()) return;
-    for (const index_t v_idx :
-         rx_cb.top_k_for_covariance(q_hat, rx_cb.size())) {
-      if (session.has_measured(u_idx, v_idx)) continue;
+    const index_t explored = probes.size();
+    rx_cb.covariance_scores_into(q_hat, scores);
+    antenna::rank_beams(scores, antenna::kNoFloor, 1, unmeasured_v, probes);
+    if (probes.size() > explored) {
+      const index_t v_idx = probes.back();
       const real energy = session.measure(u_idx, v_idx);
       slot_measurements.push_back({rx_cb.codeword(v_idx), energy});
-      break;
     }
 
     // --- Step 4: carry the slot's covariance estimate forward. ----------
-    if (options_.reestimate_with_final &&
-        slot_measurements.size() > probes.size()) {
+    if (options_.reestimate_with_final && probes.size() > explored) {
       q_hat = estimate(slot_measurements);
     }
     slot_span.arg("beams", static_cast<double>(slot_measurements.size()));
@@ -251,150 +245,103 @@ void PingPongAlignment::run(Session& session) const {
   std::optional<FactoredHermitian> q_rx;  // dim N, learned in RX-phase slots
   std::optional<FactoredHermitian> q_tx;  // dim M, learned in TX-phase slots
 
-  // One score buffer shared by both phases (resized per codebook; capacity
-  // sticks at the larger side after the first TX/RX round trip).
+  // One score buffer and one pick list shared by both phases (the buffer is
+  // resized per codebook; capacity sticks at the larger side after the
+  // first TX/RX round trip).
   std::vector<real> scores;
-
-  // Picks the best-scoring index under an optional covariance among those
-  // for which `usable` holds, falling back to a random usable index.
-  const auto pick = [&](const Codebook& cb,
-                        const std::optional<FactoredHermitian>& q,
-                        auto&& usable) -> std::optional<index_t> {
-    if (q.has_value()) {
-      scores.resize(cb.size());
-      cb.covariance_scores_into(*q, scores);
-      index_t best = cb.size();
-      real best_score = beam_floor;
-      for (index_t i = 0; i < cb.size(); ++i)
-        if (usable(i) && scores[i] > best_score) {
-          best_score = scores[i];
-          best = i;
-        }
-      if (best < cb.size()) return best;
-    }
-    for (const index_t i : session.rng().permutation(cb.size()))
-      if (usable(i)) return i;
-    return std::nullopt;
+  std::vector<index_t> picks;
+  const auto score = [&](const Codebook& cb, const FactoredHermitian& q) {
+    scores.resize(cb.size());
+    cb.covariance_scores_into(q, scores);
+  };
+  const auto estimate = [&](const Codebook& cb,
+                            std::span<const BeamMeasurement> ms) {
+    return estimation::robust_estimate_covariance(
+               cb.codeword(0).size(), ms, est,
+               estimation::EstimatorKind::kRegularizedMl)
+        .q;
   };
 
-  // Ranked probe list for one slot: top scores above the floor, then
-  // random fill, all restricted to `usable`.
-  const auto choose_probes = [&](const Codebook& cb,
-                                 const std::optional<FactoredHermitian>& q,
-                                 auto&& usable, index_t count) {
-    std::vector<index_t> probes;
-    std::vector<bool> picked(cb.size(), false);
-    if (q.has_value()) {
-      scores.resize(cb.size());
-      cb.covariance_scores_into(*q, scores);
-      std::vector<index_t> order;
-      for (index_t i = 0; i < cb.size(); ++i)
-        if (usable(i)) order.push_back(i);
-      // Ties break by lowest codeword index, as in ProposedAlignment.
-      std::sort(order.begin(), order.end(), [&](index_t a, index_t b) {
-        return scores[a] != scores[b] ? scores[a] > scores[b] : a < b;
-      });
-      for (const index_t i : order) {
-        if (probes.size() == count || scores[i] <= beam_floor) break;
-        probes.push_back(i);
-        picked[i] = true;
+  // One phase: the dwell side holds its best-believed beam among those
+  // with an unmeasured pair (random when nothing scores above the floor);
+  // the probe side measures its J − 1 top scores above the floor, topped up
+  // at random, then the best unmeasured beam under the fresh estimate, and
+  // learns. `pair(dwell, probe)` maps the roles to (tx, rx). Returns false
+  // when no dwell beam has an unmeasured pair left.
+  const auto learn = [&](const Codebook& dwell_cb,
+                         const std::optional<FactoredHermitian>& q_dwell,
+                         const Codebook& probe_cb,
+                         std::optional<FactoredHermitian>& q_probe,
+                         auto&& pair) {
+    const auto measured = [&](index_t d, index_t p) {
+      const auto [t, r] = pair(d, p);
+      return session.has_measured(t, r);
+    };
+    const auto usable_d = [&](index_t d) {
+      for (index_t p = 0; p < probe_cb.size(); ++p)
+        if (!measured(d, p)) return true;
+      return false;
+    };
+    picks.clear();
+    if (q_dwell.has_value()) {
+      score(dwell_cb, *q_dwell);
+      antenna::rank_beams(scores, beam_floor, 1, usable_d, picks);
+    }
+    if (picks.empty()) {
+      for (const index_t d : session.rng().permutation(dwell_cb.size()))
+        if (usable_d(d)) {
+          picks.push_back(d);
+          break;
+        }
+      if (picks.empty()) return false;
+    }
+    const index_t d = picks.front();
+    const auto usable_p = [&](index_t p) { return !measured(d, p); };
+    const auto measure = [&](index_t p) {
+      const auto [t, r] = pair(d, p);
+      return BeamMeasurement{probe_cb.codeword(p), session.measure(t, r)};
+    };
+
+    const index_t count = j_total - 1;
+    picks.clear();
+    if (q_probe.has_value()) {
+      score(probe_cb, *q_probe);
+      antenna::rank_beams(scores, beam_floor, count, usable_p, picks);
+    }
+    for (const index_t p : session.rng().permutation(probe_cb.size())) {
+      if (picks.size() == count) break;
+      if (usable_p(p) &&
+          std::find(picks.begin(), picks.end(), p) == picks.end())
+        picks.push_back(p);
+    }
+    std::vector<BeamMeasurement> ms;
+    for (const index_t p : picks) {
+      if (session.exhausted()) return true;
+      ms.push_back(measure(p));
+    }
+    if (ms.empty()) return true;
+    FactoredHermitian q = estimate(probe_cb, ms);
+    if (!session.exhausted()) {
+      score(probe_cb, q);
+      picks.clear();
+      antenna::rank_beams(scores, antenna::kNoFloor, 1, usable_p, picks);
+      if (!picks.empty()) {
+        ms.push_back(measure(picks.front()));
+        q = estimate(probe_cb, ms);
       }
     }
-    for (const index_t i : session.rng().permutation(cb.size())) {
-      if (probes.size() == count) break;
-      if (usable(i) && !picked[i]) probes.push_back(i);
-    }
-    return probes;
+    q_probe = std::move(q);
+    return true;
   };
 
-  bool rx_phase = true;
+  const auto rx_pair = [](index_t d, index_t p) { return std::pair{d, p}; };
+  const auto tx_pair = [](index_t d, index_t p) { return std::pair{p, d}; };
+  bool rx_phase = true;  // RX probes while TX dwells, then the reverse
   index_t stalled = 0;
   while (!session.exhausted() && stalled < 2) {
-    if (rx_phase) {
-      // TX dwells on its best-believed beam; RX probes and learns.
-      const auto u_idx = pick(tx_cb, q_tx, [&](index_t u) {
-        for (index_t v = 0; v < rx_cb.size(); ++v)
-          if (!session.has_measured(u, v)) return true;
-        return false;
-      });
-      if (!u_idx) {
-        ++stalled;
-        rx_phase = false;
-        continue;
-      }
-      stalled = 0;
-      const auto usable_v = [&](index_t v) {
-        return !session.has_measured(*u_idx, v);
-      };
-      std::vector<estimation::BeamMeasurement> ms;
-      for (const index_t v : choose_probes(rx_cb, q_rx, usable_v,
-                                           j_total - 1)) {
-        if (session.exhausted()) return;
-        ms.push_back({rx_cb.codeword(v), session.measure(*u_idx, v)});
-      }
-      if (!ms.empty()) {
-        FactoredHermitian q =
-            estimation::robust_estimate_covariance(
-                rx_cb.codeword(0).size(), ms, est,
-                estimation::EstimatorKind::kRegularizedMl)
-                .q;
-        if (!session.exhausted()) {
-          for (const index_t v :
-               rx_cb.top_k_for_covariance(q, rx_cb.size())) {
-            if (!usable_v(v)) continue;
-            ms.push_back({rx_cb.codeword(v), session.measure(*u_idx, v)});
-            q = estimation::robust_estimate_covariance(
-                    rx_cb.codeword(0).size(), ms, est,
-                    estimation::EstimatorKind::kRegularizedMl)
-                    .q;
-            break;
-          }
-        }
-        q_rx = std::move(q);
-      }
-    } else {
-      // RX dwells on its best-believed beam; TX probes and learns.
-      const auto v_idx = pick(rx_cb, q_rx, [&](index_t v) {
-        for (index_t u = 0; u < tx_cb.size(); ++u)
-          if (!session.has_measured(u, v)) return true;
-        return false;
-      });
-      if (!v_idx) {
-        ++stalled;
-        rx_phase = true;
-        continue;
-      }
-      stalled = 0;
-      const auto usable_u = [&](index_t u) {
-        return !session.has_measured(u, *v_idx);
-      };
-      std::vector<estimation::BeamMeasurement> ms;
-      for (const index_t u : choose_probes(tx_cb, q_tx, usable_u,
-                                           j_total - 1)) {
-        if (session.exhausted()) return;
-        ms.push_back({tx_cb.codeword(u), session.measure(u, *v_idx)});
-      }
-      if (!ms.empty()) {
-        FactoredHermitian q =
-            estimation::robust_estimate_covariance(
-                tx_cb.codeword(0).size(), ms, est,
-                estimation::EstimatorKind::kRegularizedMl)
-                .q;
-        if (!session.exhausted()) {
-          for (const index_t u :
-               tx_cb.top_k_for_covariance(q, tx_cb.size())) {
-            if (!usable_u(u)) continue;
-            ms.push_back({tx_cb.codeword(u), session.measure(u, *v_idx)});
-            q = estimation::robust_estimate_covariance(
-                    tx_cb.codeword(0).size(), ms, est,
-                    estimation::EstimatorKind::kRegularizedMl)
-                    .q;
-            break;
-          }
-        }
-        q_tx = std::move(q);
-      }
-    }
+    const bool learned = rx_phase ? learn(tx_cb, q_tx, rx_cb, q_rx, rx_pair)
+                                  : learn(rx_cb, q_rx, tx_cb, q_tx, tx_pair);
+    stalled = learned ? 0 : stalled + 1;
     rx_phase = !rx_phase;
   }
 }

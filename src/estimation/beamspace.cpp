@@ -55,35 +55,16 @@ std::vector<BeamComponent> compress_to_beam_space(
   if (q.empty()) return {};
   codebook.covariance_scores_into(q, scores);
 
-  // Top-k by (score desc, beam asc) without sorting the full score table:
-  // selection over ≤ max_components candidates per codeword.
+  // The top positive scores, in the calling thread's pick list, then
+  // returned in canonical (ascending-beam) order.
+  thread_local std::vector<index_t> top;
+  top.clear();
+  antenna::rank_beams(scores, 0.0, max_components, top);
+  std::sort(top.begin(), top.end());
   std::vector<BeamComponent> out;
   out.reserve(max_components);
-  for (index_t v = 0; v < scores.size(); ++v) {
-    if (!(scores[v] > 0.0)) continue;
-    if (out.size() == max_components && scores[v] <= out.back().weight)
-      continue;  // ties keep the incumbent (lower beam index)
-    BeamComponent c{v, scores[v]};
-    auto pos = std::upper_bound(
-        out.begin(), out.end(), c,
-        [](const BeamComponent& a, const BeamComponent& b) {
-          return a.weight > b.weight;  // stable: equal weights keep order
-        });
-    out.insert(pos, c);
-    if (out.size() > max_components) out.pop_back();
-  }
-  std::sort(out.begin(), out.end(),
-            [](const BeamComponent& a, const BeamComponent& b) {
-              return a.beam < b.beam;
-            });
+  for (const index_t v : top) out.push_back({v, scores[v]});
   return out;
-}
-
-std::vector<BeamComponent> compress_to_beam_space(
-    const FactoredHermitian& q, const antenna::Codebook& codebook,
-    index_t max_components) {
-  std::vector<real> scores(codebook.size());
-  return compress_to_beam_space(q, codebook, max_components, scores);
 }
 
 std::vector<BeamComponent> merge_beam_space(

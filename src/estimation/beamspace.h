@@ -68,11 +68,6 @@ std::vector<BeamComponent> compress_to_beam_space(
     const linalg::FactoredHermitian& q, const antenna::Codebook& codebook,
     index_t max_components, std::span<real> scores);
 
-/// Allocating convenience overload.
-std::vector<BeamComponent> compress_to_beam_space(
-    const linalg::FactoredHermitian& q, const antenna::Codebook& codebook,
-    index_t max_components);
-
 /// Tracking update: out(b) = forgetting·prior(b) + update(b) over the union
 /// of beams, truncated to the `max_components` heaviest (ties toward the
 /// lowest beam), returned in ascending beam order. forgetting ∈ [0, 1];

@@ -74,11 +74,6 @@ EigResult FactoredHermitian::eig() const {
   return core_eig;
 }
 
-Vector FactoredHermitian::principal_eigenvector() const {
-  const EigResult e = eig();
-  return e.principal_eigenvector();
-}
-
 const Matrix& FactoredHermitian::dense() const {
   if (dense_ready_) return dense_cache_;
   if (full_) {

@@ -84,9 +84,6 @@ class FactoredHermitian {
   /// holds r eigenpairs sorted descending. O(N·r² + r³) versus O(N³) dense.
   EigResult eig() const;
 
-  /// Unit eigenvector of the largest eigenvalue, O(N·r + r³).
-  Vector principal_eigenvector() const;
-
   /// Dense N×N lift Q = B Q_r Bᴴ, computed on first call and cached.
   /// Callers should reach for this only when a genuinely dense consumer
   /// (Frobenius-distance metrics, matrix accumulation, I/O) needs it — every

@@ -1,4 +1,4 @@
-// Scalar tier, arena, and runtime dispatch for the batched scoring kernels.
+// Scalar tier, workspace, and runtime dispatch for the batched scoring kernels.
 //
 // This translation unit is compiled with -ffp-contract=off (see
 // src/linalg/CMakeLists.txt): the bit-exactness contract between tiers
@@ -6,7 +6,6 @@
 // steps into FMAs that round differently.
 #include "linalg/kernels.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -234,14 +233,21 @@ KernelTable& table() {
   return t;
 }
 
-std::atomic<std::size_t> g_arena_high_water{0};
+std::atomic<std::size_t> g_workspace_high_water{0};
 
-void publish_high_water(std::size_t bytes) {
-  std::size_t seen = g_arena_high_water.load(std::memory_order_relaxed);
-  while (bytes > seen &&
-         !g_arena_high_water.compare_exchange_weak(
-             seen, bytes, std::memory_order_relaxed)) {
+/// The calling thread's scoring workspace, at least `n` doubles long. It
+/// grows to the largest pass the thread runs and is never shrunk.
+double* workspace(std::size_t n) {
+  thread_local std::vector<double> buffer;
+  if (buffer.size() < n) {
+    buffer.resize(n);
+    std::size_t seen = g_workspace_high_water.load(std::memory_order_relaxed);
+    while (n * sizeof(double) > seen &&
+           !g_workspace_high_water.compare_exchange_weak(
+               seen, n * sizeof(double), std::memory_order_relaxed)) {
+    }
   }
+  return buffer.data();
 }
 
 }  // namespace
@@ -274,76 +280,8 @@ void force_tier_for_testing(Tier tier) {
 
 void reset_tier_for_testing() { table() = init_table(); }
 
-// ---------------------------------------------------------------------------
-// Arena
-// ---------------------------------------------------------------------------
-
-namespace {
-constexpr std::size_t kArenaAlign = 32;
-constexpr std::size_t kArenaMinBlock = 1 << 14;  // 16 KiB
-
-std::size_t round_up(std::size_t n) {
-  return (n + kArenaAlign - 1) & ~(kArenaAlign - 1);
-}
-}  // namespace
-
-std::size_t Arena::capacity_bytes() const {
-  std::size_t total = 0;
-  for (const Block& b : blocks_) total += b.size;
-  return total;
-}
-
-void* Arena::raw_alloc(std::size_t bytes) {
-  bytes = round_up(std::max<std::size_t>(bytes, 1));
-  if (blocks_.empty() || blocks_.back().used + bytes > blocks_.back().size) {
-    // Grow geometrically so steady state settles into one block that every
-    // pass fits in; reset() coalesces the stragglers.
-    const std::size_t size =
-        std::max({bytes, kArenaMinBlock, 2 * capacity_bytes()});
-    Block b;
-    b.storage.resize(size + kArenaAlign);
-    const auto addr = reinterpret_cast<std::uintptr_t>(b.storage.data());
-    b.base = b.storage.data() + (round_up(addr) - addr);
-    b.size = size;
-    blocks_.push_back(std::move(b));
-  }
-  Block& b = blocks_.back();
-  void* out = b.base + b.used;
-  b.used += bytes;
-  used_ += bytes;
-  high_water_ = std::max(high_water_, used_);
-  return out;
-}
-
-void Arena::reset() {
-  if (blocks_.size() > 1) {
-    const std::size_t total = capacity_bytes();
-    blocks_.clear();
-    Block b;
-    b.storage.resize(total + kArenaAlign);
-    const auto addr = reinterpret_cast<std::uintptr_t>(b.storage.data());
-    b.base = b.storage.data() + (round_up(addr) - addr);
-    b.size = total;
-    blocks_.push_back(std::move(b));
-  }
-  if (!blocks_.empty()) blocks_.back().used = 0;
-  used_ = 0;
-}
-
-ArenaScope::~ArenaScope() {
-  if (--arena_.scope_depth_ == 0) {
-    publish_high_water(arena_.high_water_bytes());
-    arena_.reset();
-  }
-}
-
-Arena& scratch_arena() {
-  thread_local Arena arena;
-  return arena;
-}
-
 std::size_t arena_high_water_bytes() {
-  return g_arena_high_water.load(std::memory_order_relaxed);
+  return g_workspace_high_water.load(std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -395,14 +333,9 @@ void factored_scores(const Matrix& basis, const Matrix& core,
   MMW_REQUIRE_MSG(basis.rows() == n && basis.cols() == r && core.is_square() &&
                       out.size() == v,
                   "factored_scores shape mismatch");
-  Arena& arena = scratch_arena();
-  ArenaScope scope(arena);
-  const auto p_re = arena.alloc<double>(r * v);
-  const auto p_im = arena.alloc<double>(r * v);
-  const auto t_re = arena.alloc<double>(r * v);
-  const auto t_im = arena.alloc<double>(r * v);
-  SoAView p{p_re.data(), p_im.data(), r, v};
-  SoAView t{t_re.data(), t_im.data(), r, v};
+  double* w = workspace(4 * r * v);
+  SoAView p{w, w + r * v, r, v};
+  SoAView t{w + 2 * r * v, w + 3 * r * v, r, v};
   adjoint_gemm_batch(basis, codewords.view(), p);
   const SoAConstView pc{p.re, p.im, r, v};
   gemm_batch(core, pc, t);
@@ -415,11 +348,8 @@ void dense_scores(const Matrix& q, const SoAComplex& codewords,
   const index_t v = codewords.cols();
   MMW_REQUIRE_MSG(q.is_square() && q.rows() == n && out.size() == v,
                   "dense_scores shape mismatch");
-  Arena& arena = scratch_arena();
-  ArenaScope scope(arena);
-  const auto t_re = arena.alloc<double>(n * v);
-  const auto t_im = arena.alloc<double>(n * v);
-  SoAView t{t_re.data(), t_im.data(), n, v};
+  double* w = workspace(2 * n * v);
+  SoAView t{w, w + n * v, n, v};
   gemm_batch(q, codewords.view(), t);
   hermitian_inner_batch(codewords.view(), {t.re, t.im, n, v}, out);
 }

@@ -28,7 +28,7 @@
 //    element order. Golden figure CSVs therefore do not move.
 //
 // Thread-safety: all kernel entry points are safe to call concurrently —
-// they touch only their arguments and the calling thread's scratch arena.
+// they touch only their arguments and the calling thread's workspace.
 // force_tier_for_testing() is the one exception (see its comment).
 #pragma once
 
@@ -78,84 +78,13 @@ void force_tier_for_testing(Tier tier);
 void reset_tier_for_testing();
 
 // ---------------------------------------------------------------------------
-// Scratch arena
+// Scoring workspace
 // ---------------------------------------------------------------------------
 
-/// Bump allocator for kernel workspace. One Arena serves ONE thread (use
-/// scratch_arena() for the calling thread's instance); allocation is
-/// pointer arithmetic, deallocation only happens wholesale via ArenaScope.
-/// Memory is retained across passes, so steady-state scoring performs zero
-/// heap allocations — the per-slot temporaries the pre-PR-7 path paid for
-/// every codeword are gone.
-///
-/// Aliasing: spans returned by alloc() are disjoint, 32-byte aligned, and
-/// valid until the enclosing outermost ArenaScope closes. They must not be
-/// stored beyond that scope.
-class Arena {
- public:
-  Arena() = default;
-  Arena(const Arena&) = delete;
-  Arena& operator=(const Arena&) = delete;
-
-  /// 32-byte-aligned uninitialized storage for n values of a trivially
-  /// destructible T. Grows the arena on demand (amortized: steady state
-  /// never allocates).
-  template <typename T>
-  std::span<T> alloc(std::size_t n) {
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "arena memory is reclaimed without running destructors");
-    return {static_cast<T*>(raw_alloc(n * sizeof(T))), n};
-  }
-
-  /// Bytes handed out since the last reset (the live footprint).
-  std::size_t used_bytes() const { return used_; }
-  /// Largest used_bytes() this arena ever reached.
-  std::size_t high_water_bytes() const { return high_water_; }
-  /// Total capacity currently reserved.
-  std::size_t capacity_bytes() const;
-
-  /// Releases every allocation (capacity is kept, coalesced into one
-  /// block). Callers normally use ArenaScope instead.
-  void reset();
-
- private:
-  friend class ArenaScope;
-  void* raw_alloc(std::size_t bytes);
-
-  struct Block {
-    std::vector<std::byte> storage;  ///< over-sized by the alignment slack
-    std::size_t used = 0;            ///< bytes consumed from aligned base
-    std::byte* base = nullptr;       ///< first 32-byte-aligned byte
-    std::size_t size = 0;            ///< usable bytes from base
-  };
-  std::vector<Block> blocks_;
-  std::size_t used_ = 0;
-  std::size_t high_water_ = 0;
-  int scope_depth_ = 0;
-};
-
-/// RAII pass delimiter: the OUTERMOST scope on an arena resets it on
-/// destruction (publishing the arena's high-water mark to the process-wide
-/// maximum); nested scopes are no-ops, so helpers can open a scope without
-/// caring whether a caller already did.
-class ArenaScope {
- public:
-  explicit ArenaScope(Arena& arena) : arena_(arena) {
-    ++arena_.scope_depth_;
-  }
-  ~ArenaScope();
-  ArenaScope(const ArenaScope&) = delete;
-  ArenaScope& operator=(const ArenaScope&) = delete;
-
- private:
-  Arena& arena_;
-};
-
-/// The calling thread's kernel scratch arena (thread-local; never shared).
-Arena& scratch_arena();
-
-/// Largest per-thread arena footprint observed process-wide, in bytes —
-/// recorded in run manifests as `kernels.arena_high_water_bytes`.
+/// Largest per-thread scoring workspace observed process-wide, in bytes —
+/// recorded in run manifests as `kernels.arena_high_water_bytes`. Each
+/// thread's workspace grows to its largest scoring pass and is never
+/// shrunk, so steady-state scoring performs zero heap allocations.
 std::size_t arena_high_water_bytes();
 
 // ---------------------------------------------------------------------------
@@ -245,13 +174,13 @@ void hermitian_inner_batch(SoAConstView p, SoAConstView t,
                            std::span<real> out);
 
 // ---------------------------------------------------------------------------
-// Composed scoring passes (arena-backed)
+// Composed scoring passes (workspace-backed)
 // ---------------------------------------------------------------------------
 
 /// out[v] = c_vᴴ (B Q_r Bᴴ) c_v for every column c_v of `codewords`:
 /// P = Bᴴ C, T = Q_r P, then the Hermitian inner product — the factored
-/// Rayleigh scoring pass in O(|V|·N·r + |V|·r²) with all workspace on the
-/// calling thread's arena. Bit-identical to per-codeword
+/// Rayleigh scoring pass in O(|V|·N·r + |V|·r²) with all workspace in the
+/// calling thread's scoring workspace. Bit-identical to per-codeword
 /// FactoredHermitian::rayleigh. Preconditions: basis is N×r with
 /// codewords.rows() == N, core is r×r, out.size() == codewords.cols().
 void factored_scores(const Matrix& basis, const Matrix& core,

@@ -55,20 +55,6 @@ Matrix Matrix::adjoint() const {
   return out;
 }
 
-Matrix Matrix::transpose() const {
-  Matrix out(cols_, rows_);
-  for (index_t i = 0; i < rows_; ++i)
-    for (index_t j = 0; j < cols_; ++j) out(j, i) = (*this)(i, j);
-  return out;
-}
-
-Matrix Matrix::conjugate() const {
-  Matrix out(rows_, cols_);
-  for (index_t i = 0; i < data_.size(); ++i)
-    out.data_[i] = std::conj(data_[i]);
-  return out;
-}
-
 cx Matrix::trace() const {
   MMW_REQUIRE_MSG(is_square(), "trace requires a square matrix");
   cx acc{0.0, 0.0};
@@ -105,11 +91,6 @@ Vector Matrix::row(index_t i) const {
 void Matrix::set_col(index_t j, const Vector& v) {
   MMW_REQUIRE(j < cols_ && v.size() == rows_);
   for (index_t i = 0; i < rows_; ++i) (*this)(i, j) = v[i];
-}
-
-void Matrix::set_row(index_t i, const Vector& v) {
-  MMW_REQUIRE(i < rows_ && v.size() == cols_);
-  for (index_t j = 0; j < cols_; ++j) (*this)(i, j) = v[j];
 }
 
 bool Matrix::is_hermitian(real tol) const {

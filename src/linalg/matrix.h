@@ -51,12 +51,6 @@ class Matrix {
   /// Conjugate transpose Aᴴ.
   Matrix adjoint() const;
 
-  /// Plain transpose Aᵀ (no conjugation).
-  Matrix transpose() const;
-
-  /// Element-wise conjugate.
-  Matrix conjugate() const;
-
   /// Trace; requires a square matrix.
   cx trace() const;
 
@@ -73,7 +67,6 @@ class Matrix {
   Vector row(index_t i) const;
 
   void set_col(index_t j, const Vector& v);
-  void set_row(index_t i, const Vector& v);
 
   /// True when ‖A − Aᴴ‖_max ≤ tol (requires square).
   bool is_hermitian(real tol = 1e-10) const;

@@ -53,6 +53,11 @@ struct ProbeView {
 real probe_energy(const ProbeView& view, index_t tx_beam, index_t rx_beam,
                   index_t fades, randgen::Rng& rng, linalg::Vector& scratch);
 
+/// Outage depth: a verify probe more than this many dB below the trained
+/// energy declares the claimed pair collapsed (blockage). Session, the
+/// serving engine and the trackers all use this one value.
+inline constexpr real kCollapseDb = 10.0;
+
 /// 10^(−collapse_db/10): the share of the trained energy below which a
 /// verify probe declares the claimed pair collapsed (Session, the serving
 /// engine and the trackers all apply this one test).

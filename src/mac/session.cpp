@@ -82,11 +82,6 @@ void Session::set_interference(std::vector<real> per_rx_beam_power) {
   interference_ = std::move(per_rx_beam_power);
 }
 
-real Session::interference_power(index_t rx_beam) const {
-  MMW_REQUIRE(rx_beam < rx_codebook_->size());
-  return interference_.empty() ? 0.0 : interference_[rx_beam];
-}
-
 void Session::arm_faults(const fault::FaultPlan* plan,
                          const channel::Link* degraded_link) {
   MMW_REQUIRE_MSG(records_.empty(),
@@ -157,15 +152,7 @@ std::optional<MeasurementRecord> Session::best_measured() const {
 }
 
 Session::RealignmentReport Session::verify_and_realign() {
-  return verify_and_realign(RealignmentPolicy{});
-}
-
-Session::RealignmentReport Session::verify_and_realign(
-    const RealignmentPolicy& policy) {
-  MMW_REQUIRE_MSG(policy.verify_fades > 0,
-                  "verification needs at least one fade");
-  MMW_REQUIRE_MSG(policy.collapse_db > 0.0,
-                  "collapse threshold must be positive dB");
+  using Policy = RealignmentPolicy;
   RealignmentReport report;
   const std::optional<MeasurementRecord> best = best_measured();
   if (!best) return report;
@@ -175,14 +162,14 @@ Session::RealignmentReport Session::verify_and_realign(
   // a blockage event, being a persistent large-scale state, still does.
   auto probe = [&](index_t tx_beam, index_t rx_beam) {
     const index_t slot = budget_ + recovery_records_.size();
-    const real e = probe_energy(tx_beam, rx_beam, policy.verify_fades, slot);
+    const real e = probe_energy(tx_beam, rx_beam, Policy::verify_fades, slot);
     recovery_records_.push_back({tx_beam, rx_beam, e});
     if (obs::enabled()) SessionMetrics::get().realign_slots.add();
     return e;
   };
 
   if (obs::enabled()) SessionMetrics::get().realign_checks.add();
-  const real threshold = best->energy * collapse_scale(policy.collapse_db);
+  const real threshold = best->energy * collapse_scale(Policy::collapse_db);
   MeasurementRecord found{best->tx_beam, best->rx_beam,
                           probe(best->tx_beam, best->rx_beam)};
   if (found.energy < threshold) {
@@ -193,7 +180,7 @@ Session::RealignmentReport Session::verify_and_realign(
     std::vector<bool> probed(n_tx * n_rx, false);
     probed[best->tx_beam * n_rx + best->rx_beam] = true;
     report.recovered =
-        rescan_windows(n_tx, n_rx, policy.max_retries, policy.widen_radius,
+        rescan_windows(n_tx, n_rx, Policy::max_retries, Policy::widen_radius,
                        threshold, probed, found, probe);
     if (report.recovered && obs::enabled())
       SessionMetrics::get().realign_recoveries.add();

@@ -86,10 +86,6 @@ class Session {
   /// Preconditions: size == |V|, entries ≥ 0, set before training starts.
   void set_interference(std::vector<real> per_rx_beam_power);
 
-  /// Mean interference power on RX beam v (0 when no profile is set).
-  real interference_power(index_t rx_beam) const;
-  bool has_interference() const { return !interference_.empty(); }
-
   /// Arms deterministic fault injection (DESIGN.md §11): slot drops and
   /// energy outliers follow `plan`'s schedule keyed by the slot index, and
   /// from the plan's blockage onset onwards measurements draw their signal
@@ -101,7 +97,6 @@ class Session {
   /// sequence untouched, so the determinism contract is preserved.
   void arm_faults(const fault::FaultPlan* plan,
                   const channel::Link* degraded_link);
-  bool faults_armed() const { return fault_plan_ != nullptr; }
 
   /// Performs one measurement and returns the observed energy |z|².
   /// Preconditions: budget not exhausted, indices valid, pair unmeasured.
@@ -118,14 +113,14 @@ class Session {
   /// Post-alignment verification / re-alignment policy (DESIGN.md §11).
   struct RealignmentPolicy {
     /// Independent fades averaged per verification/recovery probe.
-    index_t verify_fades = 4;
+    static constexpr index_t verify_fades = 4;
     /// Outage declaration: the verified energy of the claimed pair fell
     /// this many dB below its trained energy (SNR collapse — blockage).
-    real collapse_db = 10.0;
+    static constexpr real collapse_db = kCollapseDb;
     /// Bounded retry rounds after an outage; round r probes the widened
     /// neighborhood of Chebyshev radius r·widen_radius.
-    index_t max_retries = 2;
-    index_t widen_radius = 1;
+    static constexpr index_t max_retries = 2;
+    static constexpr index_t widen_radius = 1;
   };
 
   struct RealignmentReport {
@@ -146,8 +141,7 @@ class Session {
   /// and cost metrics add recovery_slots() explicitly (bench E8). Returns
   /// the best pair found (best-effort even when recovery fails); a session
   /// with no measurements reports a default (no-outage) record.
-  RealignmentReport verify_and_realign(const RealignmentPolicy& policy);
-  RealignmentReport verify_and_realign();  ///< default policy
+  RealignmentReport verify_and_realign();
 
   /// Recovery/verification probes taken by verify_and_realign, in order.
   const std::vector<MeasurementRecord>& recovery_records() const {

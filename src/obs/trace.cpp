@@ -42,16 +42,6 @@ void TraceCollector::counter(const char* name, double value) {
   push(e);
 }
 
-void TraceCollector::instant(const char* name, const char* category) {
-  if (!capturing()) return;
-  TraceEvent e;
-  e.name = name;
-  e.category = category;
-  e.phase = 'i';
-  e.ts_us = now_us();
-  push(e);
-}
-
 void write_chrome_event(JsonWriter& w, const TraceEvent& e,
                         std::uint64_t tid) {
   w.begin_object();

@@ -31,8 +31,7 @@ namespace mmw::obs {
 
 class JsonWriter;
 
-/// One trace_event entry. 'X' = complete span, 'C' = counter sample,
-/// 'i' = instant event.
+/// One trace_event entry. 'X' = complete span, 'C' = counter sample.
 struct TraceEvent {
   static constexpr int kMaxArgs = 4;
   struct Arg {
@@ -79,9 +78,6 @@ class TraceCollector {
   /// Records a counter sample at the current time (e.g. an NLL trajectory
   /// point); rendered as a counter track in the trace viewer.
   void counter(const char* name, double value);
-
-  /// Records an instant event at the current time.
-  void instant(const char* name, const char* category = "mmw");
 
   /// Number of captured events (all threads).
   std::uint64_t event_count() const;

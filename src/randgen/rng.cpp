@@ -67,11 +67,6 @@ cx Rng::complex_normal(real variance) {
   return cx{normal(0.0, s), normal(0.0, s)};
 }
 
-real Rng::chi_squared(real k) {
-  MMW_REQUIRE(k > 0.0);
-  return std::chi_squared_distribution<real>(k)(engine_);
-}
-
 real Rng::exponential(real mean) {
   MMW_REQUIRE(mean > 0.0);
   return std::exponential_distribution<real>(1.0 / mean)(engine_);

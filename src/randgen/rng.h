@@ -53,9 +53,6 @@ class Rng {
   /// real and imaginary parts are each N(0, variance/2), so E|x|² = variance.
   cx complex_normal(real variance = 1.0);
 
-  /// Chi-squared with k degrees of freedom.
-  real chi_squared(real k);
-
   /// Exponential with the given mean.
   real exponential(real mean);
 

@@ -12,22 +12,6 @@ bool contains(const std::vector<index_t>& v, index_t x) {
 
 }  // namespace
 
-void append_covariance_probes(std::span<const real> scores, index_t count,
-                              std::vector<index_t>& out) {
-  for (index_t pick = 0; pick < count; ++pick) {
-    index_t best = scores.size();
-    real best_score = 0.0;
-    for (index_t v = 0; v < scores.size(); ++v) {
-      if (!(scores[v] > best_score)) continue;  // ties → lowest v
-      if (contains(out, v)) continue;
-      best = v;
-      best_score = scores[v];
-    }
-    if (best == scores.size()) break;  // no positive mass left
-    out.push_back(best);
-  }
-}
-
 void append_cursor_probes(std::uint64_t user_key, std::uint64_t cursor,
                           index_t n_rx, index_t want,
                           std::vector<index_t>& out) {
@@ -56,9 +40,9 @@ bool align_slot(const mac::ProbeView& view, const SlotSpec& spec,
   scratch.probe_rx.clear();
   if (!prior_q.empty()) {
     rx.covariance_scores_into(prior_q, scratch.scores);
-    // j > 1 keeps one explore slot.
-    append_covariance_probes(scratch.scores, j > 1 ? j - 1 : 1,
-                             scratch.probe_rx);
+    // Positive scores only; j > 1 keeps one explore slot.
+    antenna::rank_beams(scratch.scores, 0.0, j > 1 ? j - 1 : 1,
+                        scratch.probe_rx);
   }
   append_cursor_probes(spec.cursor_key, spec.cursor, n_rx, j,
                        scratch.probe_rx);

@@ -8,14 +8,13 @@
 // beam fields ARE the tracker state.
 //
 // A slot (align_slot) picks its J RX probes in two steps:
-// append_covariance_probes takes the top J − 1 codewords of the prior
-// covariance's Rayleigh scores, then append_cursor_probes tops the set up
-// with sequential exploration. It probes them in ascending order and folds
-// the energies back into the resident beam-space list.
+// antenna::rank_beams takes the top J − 1 positive Rayleigh scores of the
+// prior covariance, then append_cursor_probes tops the set up with
+// sequential exploration. It probes them in ascending order and folds the
+// energies back into the resident beam-space list.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "estimation/beamspace.h"
@@ -29,7 +28,7 @@ namespace mmw::track {
 /// serve::kMaxComponents).
 struct TrackerOptions {
   // -- verify/re-align (warm + neighborhood; serve) -------------------------
-  static constexpr real collapse_db = 10.0;  ///< outage: dB below trained
+  static constexpr real collapse_db = mac::kCollapseDb;  ///< outage depth
   static constexpr real forgetting = 0.7;  ///< beam-space merge across slots
   static constexpr index_t max_components = 6;   ///< resident budget
   static constexpr index_t probes_per_slot = 8;  ///< J per warm slot
@@ -43,14 +42,6 @@ struct TrackerOptions {
   static constexpr real bandit_forgetting = 0.98;  ///< per-epoch arm decay
   static constexpr real neighbor_coupling = 0.5;   ///< adjacent-arm share
 };
-
-/// Covariance-directed candidates: appends, highest score first, up to
-/// `count` indices v of `scores` that are not already in `out`. Only
-/// positive scores qualify (zero, negative and NaN never do), so the picks
-/// stop early once the positive mass runs out; equal scores go to the
-/// lowest index.
-void append_covariance_probes(std::span<const real> scores, index_t count,
-                              std::vector<index_t>& out);
 
 /// Cursor-sweep candidates: appends probes (user_key + cursor + i) mod n_rx,
 /// skipping indices already in `out`, until out has `want` entries.

@@ -287,31 +287,21 @@ class BanditTracker final : public TrackerCore {
     for (real& w : weight_) w *= TrackerOptions::bandit_forgetting;
     const index_t pulls =
         std::min<index_t>(TrackerOptions::bandit_probes, mu_.size());
-    // Select all arms first (UCB without replacement, ties → lowest
-    // index), then probe in ascending arm order — the canonical
-    // measurement order every other engine uses.
-    pulls_.clear();
+    // Select all arms first (the top UCB scores, ties → lowest index),
+    // then probe in ascending arm order — the canonical measurement order
+    // every other engine uses.
     real scale = 0.0;
     for (const real v : mu_) scale += v;
     scale /= static_cast<real>(mu_.size());
-    for (index_t k = 0; k < pulls; ++k) {
-      index_t best = mu_.size();
-      real best_score = -std::numeric_limits<real>::infinity();
-      for (index_t a = 0; a < mu_.size(); ++a) {
-        if (std::find(pulls_.begin(), pulls_.end(), a) != pulls_.end())
-          continue;
-        const real bonus =
-            TrackerOptions::ucb_c * scale *
-            std::sqrt(std::log(static_cast<real>(t_) + 1.0) /
-                      std::max(weight_[a], 1e-3));
-        const real score = mu_[a] + bonus;
-        if (score > best_score) {  // ties → lowest a
-          best_score = score;
-          best = a;
-        }
-      }
-      pulls_.push_back(best);
+    ucb_.resize(mu_.size());
+    for (index_t a = 0; a < mu_.size(); ++a) {
+      const real bonus = TrackerOptions::ucb_c * scale *
+                         std::sqrt(std::log(static_cast<real>(t_) + 1.0) /
+                                   std::max(weight_[a], 1e-3));
+      ucb_[a] = mu_[a] + bonus;
     }
+    pulls_.clear();
+    antenna::rank_beams(ucb_, antenna::kNoFloor, pulls, pulls_);
     std::sort(pulls_.begin(), pulls_.end());
     const index_t old_tx = state_.tx_beam, old_rx = state_.rx_beam;
     for (const index_t a : pulls_) {
@@ -396,6 +386,7 @@ class BanditTracker final : public TrackerCore {
 
   std::vector<real> mu_;      ///< arm mean energy
   std::vector<real> weight_;  ///< arm evidence weight (decayed)
+  std::vector<real> ucb_;  ///< arm UCB scores of the current epoch
   std::vector<index_t> pulls_;
   std::vector<estimation::BeamComponent> pending_prior_;
   bool has_pending_prior_ = false;

@@ -117,7 +117,7 @@ TEST(CodebookTest, BestForCovarianceFindsPlantedBeam) {
   const auto cb = Codebook::dft(ArrayGeometry::upa(4, 4));
   const Vector planted = cb.codeword(11);
   const Matrix q = Matrix::outer(planted, planted) * cx{5.0, 0.0};
-  EXPECT_EQ(cb.best_for_covariance(q), 11u);
+  EXPECT_EQ(cb.top_k_for_covariance(q, 1)[0], 11u);
 }
 
 TEST(CodebookTest, TopKOrderingAndShape) {
@@ -203,7 +203,7 @@ TEST(CodebookTest, TopKBreaksExactTiesByLowestIndex) {
   const auto top = cb.top_k_for_covariance(zero, cb.size());
   ASSERT_EQ(top.size(), cb.size());
   for (index_t i = 0; i < top.size(); ++i) EXPECT_EQ(top[i], i);
-  EXPECT_EQ(cb.best_for_covariance(zero), 0u);
+  EXPECT_EQ(cb.top_k_for_covariance(zero, 1)[0], 0u);
 }
 
 TEST(CodebookTest, FactoredTopKBreaksExactTiesByLowestIndex) {

@@ -77,13 +77,13 @@ TEST_F(CodebookTierEquivalenceTest, ScoresAndRankingsIdenticalAcrossTiers) {
       const auto ranking_scalar = cb.top_k_for_covariance(q, cb.size());
       const auto top3_scalar =
           cb.top_k_for_covariance(q, std::min<index_t>(3, cb.size()));
-      const index_t best_scalar = cb.best_for_covariance(q);
+      const index_t best_scalar = cb.top_k_for_covariance(q, 1)[0];
       kernels::force_tier_for_testing(kernels::Tier::kAvx2);
       cb.covariance_scores_into(q, avx2);
       const auto ranking_avx2 = cb.top_k_for_covariance(q, cb.size());
       const auto top3_avx2 =
           cb.top_k_for_covariance(q, std::min<index_t>(3, cb.size()));
-      const index_t best_avx2 = cb.best_for_covariance(q);
+      const index_t best_avx2 = cb.top_k_for_covariance(q, 1)[0];
       EXPECT_EQ(scalar, avx2) << "n=" << n << " r=" << r;
       EXPECT_EQ(ranking_scalar, ranking_avx2) << "n=" << n << " r=" << r;
       EXPECT_EQ(top3_scalar, top3_avx2) << "n=" << n << " r=" << r;

@@ -47,8 +47,9 @@ TEST(BeamSpace, CompressInvertsExpandForAlignedComponents) {
   const Codebook cb = dft44();
   const std::vector<BeamComponent> comps{{3, 0.75}, {7, 3.0}, {12, 1.5}};
   const linalg::FactoredHermitian q = expand_beam_space(comps, cb);
-  const std::vector<BeamComponent> back =
-      compress_to_beam_space(q, cb, static_cast<index_t>(comps.size()));
+  std::vector<real> scores(cb.size());
+  const std::vector<BeamComponent> back = compress_to_beam_space(
+      q, cb, static_cast<index_t>(comps.size()), scores);
   ASSERT_EQ(back.size(), comps.size());
   for (index_t i = 0; i < comps.size(); ++i) {
     EXPECT_EQ(back[i].beam, comps[i].beam);  // ascending beam order
@@ -60,7 +61,9 @@ TEST(BeamSpace, CompressKeepsHeaviestAndOrdersAscending) {
   const Codebook cb = dft44();
   const std::vector<BeamComponent> comps{{2, 1.0}, {9, 4.0}, {14, 2.5}};
   const linalg::FactoredHermitian q = expand_beam_space(comps, cb);
-  const std::vector<BeamComponent> top2 = compress_to_beam_space(q, cb, 2);
+  std::vector<real> scores(cb.size());
+  const std::vector<BeamComponent> top2 =
+      compress_to_beam_space(q, cb, 2, scores);
   ASSERT_EQ(top2.size(), 2u);
   // Heaviest two (beams 9 and 14), returned ascending.
   EXPECT_EQ(top2[0].beam, 9u);
@@ -68,12 +71,17 @@ TEST(BeamSpace, CompressKeepsHeaviestAndOrdersAscending) {
 }
 
 TEST(BeamSpace, CompressScratchOverloadMatchesAllocating) {
+  // A reused scratch buffer, left dirty by an unrelated pass, gives the
+  // same components as a freshly allocated one.
   const Codebook cb = dft44();
   const std::vector<BeamComponent> comps{{0, 1.0}, {8, 2.0}};
   const linalg::FactoredHermitian q = expand_beam_space(comps, cb);
-  std::vector<real> scores(cb.size(), 0.0);
-  const auto a = compress_to_beam_space(q, cb, 2, scores);
-  const auto b = compress_to_beam_space(q, cb, 2);
+  const std::vector<BeamComponent> other{{5, 3.0}};
+  std::vector<real> reused(cb.size(), 0.0);
+  compress_to_beam_space(expand_beam_space(other, cb), cb, 2, reused);
+  const auto a = compress_to_beam_space(q, cb, 2, reused);
+  std::vector<real> fresh(cb.size(), 0.0);
+  const auto b = compress_to_beam_space(q, cb, 2, fresh);
   ASSERT_EQ(a.size(), b.size());
   for (index_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].beam, b[i].beam);

@@ -108,7 +108,8 @@ void run_golden_check(const channel::Link& link, const Codebook& rx_cb,
     EXPECT_NEAR(scores_factored[i], scores_dense[i], 1e-10 * scale);
 
   // (3) Selection is identical: best beam and every top-k prefix.
-  EXPECT_EQ(rx_cb.best_for_covariance(res.q), rx_cb.best_for_covariance(dense));
+  EXPECT_EQ(rx_cb.top_k_for_covariance(res.q, 1)[0],
+            rx_cb.top_k_for_covariance(dense, 1)[0]);
   for (const index_t k : {index_t{1}, index_t{4}, rx_cb.size()}) {
     EXPECT_EQ(rx_cb.top_k_for_covariance(res.q, k),
               rx_cb.top_k_for_covariance(dense, k))
@@ -153,8 +154,8 @@ TEST(FactoredEquivalenceTest, EmEstimatorGolden) {
     expect_bit_identical(res.q.dense(),
                          historical_lift(res.q.basis(), res.q.core()));
   }
-  EXPECT_EQ(rx_cb.best_for_covariance(res.q),
-            rx_cb.best_for_covariance(res.q.dense()));
+  EXPECT_EQ(rx_cb.top_k_for_covariance(res.q, 1)[0],
+            rx_cb.top_k_for_covariance(res.q.dense(), 1)[0]);
 }
 
 TEST(FactoredEquivalenceTest, FullModeScoresBitIdentical) {

@@ -158,7 +158,7 @@ TEST(FactoredHermitianTest, PrincipalEigenvectorAlignsWithPlanted) {
   Matrix core(1, 1);
   core(0, 0) = cx{7.5, 0.0};
   const FactoredHermitian f(basis, core);
-  EXPECT_NEAR(std::abs(dot(f.principal_eigenvector(), x)), 1.0, 1e-10);
+  EXPECT_NEAR(std::abs(dot(f.eig().principal_eigenvector(), x)), 1.0, 1e-10);
 }
 
 TEST(FactoredHermitianTest, BasisAccessorGuardsFullMode) {

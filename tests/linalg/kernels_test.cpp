@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <vector>
 
 #include "linalg/factored.h"
@@ -72,87 +71,26 @@ TEST(KernelDispatchTest, ForceAndResetRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// Arena
+// Scoring workspace (arena_high_water_bytes keeps the name of the bump
+// arena the workspace replaced)
 // ---------------------------------------------------------------------------
 
-TEST(ArenaTest, AllocationsAreAlignedAndDisjoint) {
-  Arena arena;
-  ArenaScope scope(arena);
-  const auto a = arena.alloc<double>(3);
-  const auto b = arena.alloc<double>(5);
-  EXPECT_EQ(a.size(), 3u);
-  EXPECT_EQ(b.size(), 5u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.data()) % 32, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % 32, 0u);
-  // Disjoint: b starts at or after a's (aligned) end.
-  EXPECT_GE(reinterpret_cast<std::uintptr_t>(b.data()),
-            reinterpret_cast<std::uintptr_t>(a.data() + a.size()));
-}
-
-TEST(ArenaTest, ScopeResetReusesMemory) {
-  Arena arena;
-  double* first = nullptr;
-  {
-    ArenaScope scope(arena);
-    first = arena.alloc<double>(64).data();
-    EXPECT_GT(arena.used_bytes(), 0u);
-  }
-  EXPECT_EQ(arena.used_bytes(), 0u);
-  {
-    ArenaScope scope(arena);
-    // Same block, same offset: steady state allocates no new memory.
-    EXPECT_EQ(arena.alloc<double>(64).data(), first);
-  }
-}
-
-TEST(ArenaTest, NestedScopesResetOnlyAtOutermost) {
-  Arena arena;
-  ArenaScope outer(arena);
-  arena.alloc<double>(8);
-  const std::size_t used_before_inner = arena.used_bytes();
-  {
-    ArenaScope inner(arena);
-    arena.alloc<double>(8);
-    EXPECT_GT(arena.used_bytes(), used_before_inner);
-  }
-  // Inner scope closing must NOT free the outer scope's allocations.
-  EXPECT_GE(arena.used_bytes(), used_before_inner);
-}
-
-TEST(ArenaTest, GrowsAndCoalescesAcrossResets) {
-  Arena arena;
-  {
-    ArenaScope scope(arena);
-    arena.alloc<double>(1 << 12);  // 32 KiB: larger than the first block
-    arena.alloc<double>(1 << 13);  // forces a second block
-  }
-  const std::size_t capacity = arena.capacity_bytes();
-  {
-    // After the coalescing reset the same demand fits one block.
-    ArenaScope scope(arena);
-    arena.alloc<double>(1 << 12);
-    arena.alloc<double>(1 << 13);
-    EXPECT_EQ(arena.capacity_bytes(), capacity);
-  }
-}
-
 TEST(ArenaTest, HighWaterTracksPeakUse) {
-  Arena arena;
-  {
-    ArenaScope scope(arena);
-    arena.alloc<double>(100);
-  }
-  const std::size_t peak = arena.high_water_bytes();
-  EXPECT_GE(peak, 100 * sizeof(double));
-  {
-    ArenaScope scope(arena);
-    arena.alloc<double>(10);
-  }
-  // Smaller later passes never lower the mark.
-  EXPECT_EQ(arena.high_water_bytes(), peak);
-  // The global (cross-thread) mark has seen at least this arena's peak once
-  // a scope closed.
-  EXPECT_GE(arena_high_water_bytes(), 0u);
+  Rng rng(2);
+  const index_t n = 24;
+  const index_t r = 7;
+  const index_t count = 300;  // 4·r·count doubles: a pass of ~66 KB
+  const Matrix basis = random_orthonormal_basis(rng, n, r);
+  const Matrix core = random_hermitian(rng, r);
+  const SoAComplex packed =
+      SoAComplex::pack_columns(random_codewords(rng, n, count));
+  std::vector<real> out(count);
+  factored_scores(basis, core, packed, out);
+  const std::size_t peak = arena_high_water_bytes();
+  EXPECT_GE(peak, 4 * r * count * sizeof(double));
+  // The same shape again reuses the thread's workspace.
+  factored_scores(basis, core, packed, out);
+  EXPECT_EQ(arena_high_water_bytes(), peak);
 }
 
 // ---------------------------------------------------------------------------
@@ -214,10 +152,8 @@ TEST(KernelEquivalenceTest, AdjointGemmMatchesProjectBitExact) {
   const FactoredHermitian q(basis, random_hermitian(rng, r));
   const auto codewords = random_codewords(rng, n, count);
   const SoAComplex packed = SoAComplex::pack_columns(codewords);
-  Arena arena;
-  ArenaScope scope(arena);
-  SoAView proj{arena.alloc<double>(r * count).data(),
-               arena.alloc<double>(r * count).data(), r, count};
+  std::vector<double> re(r * count), im(r * count);
+  SoAView proj{re.data(), im.data(), r, count};
   adjoint_gemm_batch(basis, packed.view(), proj);
   for (index_t v = 0; v < count; ++v) {
     const Vector p = q.project(codewords[v]);

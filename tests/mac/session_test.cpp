@@ -295,9 +295,7 @@ TEST(SessionRealignTest, CleanVerificationSpendsOneSlot) {
   for (index_t t = 0; t < 4; ++t)
     for (index_t r = 0; r < 4; ++r) s.measure(t, r);
   const index_t trained = s.records().size();
-  Session::RealignmentPolicy policy;
-  policy.verify_fades = 16;
-  const auto report = s.verify_and_realign(policy);
+  const auto report = s.verify_and_realign();
   // A static link cannot collapse: the claimed pair re-verifies.
   EXPECT_FALSE(report.outage);
   EXPECT_EQ(report.tx_beam, s.best_measured()->tx_beam);
@@ -325,11 +323,7 @@ TEST(SessionRealignTest, PostTrainingBlockageDeclaresOutage) {
   for (index_t t = 0; t < 4; ++t)
     for (index_t r = 0; r < 4; ++r) s.measure(t, r);
 
-  Session::RealignmentPolicy policy;
-  policy.verify_fades = 8;
-  policy.max_retries = 2;
-  policy.widen_radius = 1;
-  const auto report = s.verify_and_realign(policy);
+  const auto report = s.verify_and_realign();
   // The whole (single-path) link is shadowed ~40 dB: the claimed pair
   // collapses and no neighbour can clear the threshold either.
   EXPECT_TRUE(report.outage);

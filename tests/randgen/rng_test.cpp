@@ -95,15 +95,6 @@ TEST(RngTest, ComplexNormalVarianceSplit) {
   EXPECT_NEAR(im / n, 1.5, 0.1);
 }
 
-TEST(RngTest, ChiSquaredMean) {
-  Rng rng(5);
-  const int n = 20000;
-  real sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += rng.chi_squared(2.0);
-  EXPECT_NEAR(sum / n, 2.0, 0.1);
-  EXPECT_THROW(rng.chi_squared(0.0), precondition_error);
-}
-
 TEST(RngTest, ExponentialMean) {
   Rng rng(6);
   const int n = 20000;

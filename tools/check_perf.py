@@ -11,8 +11,8 @@ load per instrumentation site. The BM_SlotCycle* timings of fresh
 google-benchmark JSON runs must therefore stay within --tolerance (default
 3%) of the committed baseline (bench_results/BENCH_micro_linalg.json),
 which also catches accidental de-optimization of the per-slot hot path (a
-dropped kernel dispatch, a reintroduced per-codeword temporary, an arena
-that stopped reusing memory). Raw nanoseconds are not comparable across
+dropped kernel dispatch, a reintroduced per-codeword temporary, a scoring
+workspace that stopped reusing memory). Raw nanoseconds are not comparable across
 machines, so the current run is rescaled by the median current/baseline
 ratio over calibration benchmarks whose code paths carry no
 instrumentation (pure dense linear algebra): the machine-speed difference
