@@ -1,6 +1,10 @@
 // P1: micro-benchmarks of the numerical substrate (google-benchmark).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "antenna/codebook.h"
 #include "antenna/steering.h"
 #include "estimation/covariance_ml.h"
@@ -163,15 +167,43 @@ void BM_DenseScores(benchmark::State& state) {
 BENCHMARK(BM_DenseScores)
     ->ArgsProduct({{16, 64, 128}, {4, 8, 16}});
 
-// Per-slot estimate+score cycle — the part of the slot this PR changed.
-// Both arms consume the SAME factored estimator output (the reduced-space
-// proximal solve is bit-identical shared machinery in either arm; it is
-// measured separately by BM_SlotCycleWithSolver* and BM_CovarianceMlEstimate).
-//
+// Per-slot score+rank cycle: the calls core::ProposedAlignment makes every
+// slot. It scores every RX codeword under the previous slot's estimate and
+// ranks the J − 1 probes, then scores under this slot's estimate and ranks
+// the J-th pick among the beams not yet probed, all into buffers hoisted out
+// of the slot loop. Here one estimate stands in for both. Both arms consume
+// the SAME factored estimator output (the reduced-space proximal solve is
+// bit-identical shared machinery in either arm; it is measured separately by
+// BM_SlotCycleWithSolver* and BM_CovarianceMlEstimate).
+
+/// The strategy's per-run buffers: one score per codeword, the probed set
+/// the admit test reads, and the slot's picks.
+struct SlotBuffers {
+  explicit SlotBuffers(index_t size) : scores(size), probed(size) {
+    picks.reserve(size);
+  }
+  std::vector<real> scores;
+  std::vector<std::uint8_t> probed;
+  std::vector<index_t> picks;
+};
+
+template <typename Q>
+void score_and_rank_slot(const antenna::Codebook& cb, const Q& q, index_t j,
+                         SlotBuffers& b) {
+  const auto unprobed = [&](index_t v) { return b.probed[v] == 0; };
+  b.picks.clear();
+  cb.covariance_scores_into(q, b.scores);
+  antenna::rank_beams(b.scores, antenna::kNoFloor, j - 1, unprobed, b.picks);
+  for (const index_t v : b.picks) b.probed[v] = 1;
+  cb.covariance_scores_into(q, b.scores);
+  antenna::rank_beams(b.scores, antenna::kNoFloor, 1, unprobed, b.picks);
+  for (const index_t v : b.picks) b.probed[v] = 0;
+  benchmark::DoNotOptimize(b.picks.data());
+}
+
 // Dense baseline: the pre-factored behaviour — eagerly lift Q̂ to N×N
-// (`lift_from_beam_span`, O(r²N²)), then both per-slot codebook passes
-// (step-3 full ranking + next-slot probe selection) through the dense
-// O(|V|·N²) Hermitian-form kernel.
+// (`lift_from_beam_span`, O(r²N²)), then both per-slot scoring passes
+// through the dense O(|V|·N²) Hermitian-form kernel.
 void BM_SlotCycleDense(benchmark::State& state) {
   const index_t n = static_cast<index_t>(state.range(0));
   const index_t j = static_cast<index_t>(state.range(1));
@@ -182,15 +214,14 @@ void BM_SlotCycleDense(benchmark::State& state) {
   opts.gamma = 100.0;
   const auto res = estimation::estimate_covariance_ml(n, ms, opts);
   const bool full = res.q.is_full();  // r = N (e.g. 16/16): nothing to lift
+  SlotBuffers buffers(cb.size());
   for (auto _ : state) {
     // Rebuild the factor pair so each iteration pays the lift, exactly as
     // the old code did once per slot (the cache would otherwise hide it).
     const linalg::FactoredHermitian f =
         full ? res.q
              : linalg::FactoredHermitian(res.q.basis(), res.q.core());
-    const Matrix& q = f.dense();
-    benchmark::DoNotOptimize(cb.top_k_for_covariance(q, cb.size()));
-    benchmark::DoNotOptimize(cb.top_k_for_covariance(q, j));
+    score_and_rank_slot(cb, f.dense(), j, buffers);
   }
 }
 BENCHMARK(BM_SlotCycleDense)
@@ -208,12 +239,12 @@ void BM_SlotCycleFactored(benchmark::State& state) {
   opts.gamma = 100.0;
   const auto res = estimation::estimate_covariance_ml(n, ms, opts);
   const bool full = res.q.is_full();
+  SlotBuffers buffers(cb.size());
   for (auto _ : state) {
     const linalg::FactoredHermitian f =
         full ? res.q
              : linalg::FactoredHermitian(res.q.basis(), res.q.core());
-    benchmark::DoNotOptimize(cb.top_k_for_covariance(f, cb.size()));
-    benchmark::DoNotOptimize(cb.top_k_for_covariance(f, j));
+    score_and_rank_slot(cb, f, j, buffers);
   }
 }
 BENCHMARK(BM_SlotCycleFactored)
@@ -230,10 +261,10 @@ void BM_SlotCycleWithSolverDense(benchmark::State& state) {
   const auto ms = slot_energies(rng, cb, n, j);
   estimation::CovarianceMlOptions opts;
   opts.gamma = 100.0;
+  SlotBuffers buffers(cb.size());
   for (auto _ : state) {
     const Matrix q = estimation::estimate_covariance_ml(n, ms, opts).q.dense();
-    benchmark::DoNotOptimize(cb.top_k_for_covariance(q, cb.size()));
-    benchmark::DoNotOptimize(cb.top_k_for_covariance(q, j));
+    score_and_rank_slot(cb, q, j, buffers);
   }
 }
 BENCHMARK(BM_SlotCycleWithSolverDense)->Args({64, 8})->Args({128, 8});
@@ -246,13 +277,53 @@ void BM_SlotCycleWithSolverFactored(benchmark::State& state) {
   const auto ms = slot_energies(rng, cb, n, j);
   estimation::CovarianceMlOptions opts;
   opts.gamma = 100.0;
+  SlotBuffers buffers(cb.size());
   for (auto _ : state) {
     const auto res = estimation::estimate_covariance_ml(n, ms, opts);
-    benchmark::DoNotOptimize(cb.top_k_for_covariance(res.q, cb.size()));
-    benchmark::DoNotOptimize(cb.top_k_for_covariance(res.q, j));
+    score_and_rank_slot(cb, res.q, j, buffers);
   }
 }
 BENCHMARK(BM_SlotCycleWithSolverFactored)->Args({64, 8})->Args({128, 8});
+
+// ---- Random streams (DESIGN.md §7) ------------------------------------------
+//
+// Open a keyed stream and make k uniform draws: the serving engine opens one
+// per (site, user, epoch) and the tracking step draws ~21 values from it.
+// BM_RngStream opens it with Rng::stream, on the lazy mt19937_64 engine;
+// BM_RngStreamStd runs the same loop on a std::mt19937_64. Both draw through
+// the distribution call Rng::uniform makes, inlined into the loop, so the
+// A/B shares one build and times the engines. The std side's seed is one
+// SplitMix64 finalization of the key where Rng::stream chains three, a few
+// nanoseconds apart. Not gated.
+
+template <typename Engine>
+void draw_uniforms(Engine& engine, std::int64_t draws) {
+  real sum = 0.0;
+  for (std::int64_t i = 0; i < draws; ++i)
+    sum += std::uniform_real_distribution<real>(0.0, 1.0)(engine);
+  benchmark::DoNotOptimize(sum);
+}
+
+void BM_RngStream(benchmark::State& state) {
+  std::uint64_t epoch = 0;
+  for (auto _ : state) {
+    randgen::Rng rng = randgen::Rng::stream(1001, 2, 3, ++epoch);
+    draw_uniforms(rng.engine(), state.range(0));
+  }
+}
+BENCHMARK(BM_RngStream)->Arg(1)->Arg(21)->Arg(156)->Arg(312)->Arg(4096);
+
+void BM_RngStreamStd(benchmark::State& state) {
+  std::uint64_t epoch = 0;
+  for (auto _ : state) {
+    std::uint64_t z = 1001 + (++epoch) * 0x9E3779B97F4A7C15ULL;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    std::mt19937_64 engine(z ^ (z >> 31));
+    draw_uniforms(engine, state.range(0));
+  }
+}
+BENCHMARK(BM_RngStreamStd)->Arg(1)->Arg(21)->Arg(156)->Arg(312)->Arg(4096);
 
 // ---- Batched scoring kernel tiers (DESIGN.md §12) --------------------------
 //

@@ -174,33 +174,6 @@ std::vector<real> Codebook::covariance_scores(
   return score;
 }
 
-namespace {
-
-/// Ranks every codeword's score under q. The scores live in the calling
-/// thread's buffer, which persists across calls.
-template <typename Q>
-std::vector<index_t> top_k(const Codebook& cb, const Q& q, index_t k) {
-  MMW_REQUIRE(k >= 1 && k <= cb.size());
-  thread_local std::vector<real> scores;
-  scores.resize(cb.size());
-  cb.covariance_scores_into(q, scores);
-  std::vector<index_t> out;
-  rank_beams(scores, kNoFloor, k, out);
-  return out;
-}
-
-}  // namespace
-
-std::vector<index_t> Codebook::top_k_for_covariance(const linalg::Matrix& q,
-                                                    index_t k) const {
-  return top_k(*this, q, k);
-}
-
-std::vector<index_t> Codebook::top_k_for_covariance(
-    const linalg::FactoredHermitian& q, index_t k) const {
-  return top_k(*this, q, k);
-}
-
 Codebook Codebook::with_quantized_phases(index_t bits) const {
   MMW_REQUIRE_MSG(bits >= 1 && bits <= 16, "phase bits out of range");
   const real levels = std::pow(2.0, static_cast<real>(bits));

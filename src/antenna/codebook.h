@@ -60,16 +60,6 @@ class Codebook {
   /// arbitrary beamforming vector (used to map an eigen-beam into V).
   index_t best_match(const linalg::Vector& v) const;
 
-  /// Indices of the k codewords with the largest cᴴ Q c, descending
-  /// (paper §IV-B2, step 3), ranked by rank_beams with no floor (a NaN
-  /// score never ranks, so only NaN scores can make the list shorter):
-  /// k = 1 is one scan, and the scores live in a per-thread buffer, so the
-  /// call allocates only the returned vector. Precondition: 1 ≤ k ≤ size().
-  std::vector<index_t> top_k_for_covariance(const linalg::Matrix& q,
-                                            index_t k) const;
-  std::vector<index_t> top_k_for_covariance(
-      const linalg::FactoredHermitian& q, index_t k) const;
-
   /// Rayleigh quotients c_iᴴ Q c_i for every codeword. The factored
   /// overload scores through the projected panel Bᴴ C — O(|V|·N·r +
   /// |V|·r²) instead of the dense form's O(|V|·N²) — which is the per-slot

@@ -3,8 +3,36 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <random>
 
 namespace mmw::randgen {
+
+MersenneTwister64::MersenneTwister64(result_type seed) {
+  // Words [0, m): draw k seeds word k+m just before it needs it.
+  x_[0] = seed;
+  for (std::size_t i = 1; i < kM; ++i) x_[i] = seed_word(x_[i - 1], i);
+}
+
+MersenneTwister64& MersenneTwister64::operator=(
+    const MersenneTwister64& other) {
+  if (this != &other) {
+    p_ = other.p_;
+    ready_ = other.ready_;
+    std::copy_n(other.x_, std::min(kN, ready_ + kM), x_);
+  }
+  return *this;
+}
+
+void MersenneTwister64::twist_block() {
+  // p_ is m in the first generation (draws [0, m) have seeded every word
+  // and twisted words [0, m)) and n at the end of any generation.
+  std::size_t k = p_ == kN ? 0 : p_;
+  p_ = k;
+  for (; k < kN - kM; ++k) x_[k] = twist(x_[k], x_[k + 1], x_[k + kM]);
+  for (; k < kN - 1; ++k) x_[k] = twist(x_[k], x_[k + 1], x_[k + kM - kN]);
+  x_[kN - 1] = twist(x_[kN - 1], x_[0], x_[kM - 1]);
+  ready_ = kN;
+}
 
 Rng Rng::fork() {
   // A fresh 64-bit draw seeds an independent child engine; mt19937_64

@@ -22,7 +22,8 @@ void SessionPool::update_high_water() {
 index_t SessionPool::allocate() {
   if (free_.empty()) {
     Slab slab;
-    slab.cells = std::make_unique<UserSession[]>(slab_capacity_);
+    slab.cells.reset(static_cast<UserSession*>(
+        ::operator new(slab_capacity_ * sizeof(UserSession))));
     slab.live = std::make_unique<std::uint8_t[]>(slab_capacity_);
     const index_t base = slabs_.size() * slab_capacity_;
     slabs_.push_back(std::move(slab));
@@ -35,7 +36,7 @@ index_t SessionPool::allocate() {
   const index_t slot = free_.back();
   free_.pop_back();
   Slab& s = slabs_[slot / slab_capacity_];
-  s.cells[slot % slab_capacity_] = UserSession{};
+  ::new (&s.cells[slot % slab_capacity_]) UserSession{};
   s.live[slot % slab_capacity_] = 1;
   ++s.live_count;
   ++live_count_;

@@ -26,6 +26,8 @@
 #pragma once
 
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "serve/session_state.h"
@@ -38,7 +40,9 @@ class SessionPool {
   explicit SessionPool(index_t slab_capacity);
 
   /// Claims a slot (growing by one slab when the free list is empty) and
-  /// value-initializes its session. Returns the slot id.
+  /// value-initializes its session. Returns the slot id. A new slab is raw
+  /// storage: a cell is constructed only when it is handed out, so a page
+  /// of a slab is resident only once one of its cells has gone live.
   index_t allocate();
 
   /// Returns `slot` to the free list. Precondition: live(slot).
@@ -98,8 +102,13 @@ class SessionPool {
   }
 
  private:
+  /// Frees a slab's storage without running destructors: there are none.
+  struct FreeCells {
+    static_assert(std::is_trivially_destructible_v<UserSession>);
+    void operator()(UserSession* cells) const { ::operator delete(cells); }
+  };
   struct Slab {
-    std::unique_ptr<UserSession[]> cells;
+    std::unique_ptr<UserSession[], FreeCells> cells;  ///< raw until handed out
     std::unique_ptr<std::uint8_t[]> live;
     index_t live_count = 0;
   };

@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "antenna/steering.h"
 #include "randgen/rng.h"
+#include "ranked.h"
 
 namespace mmw::antenna {
 namespace {
@@ -117,19 +119,22 @@ TEST(CodebookTest, BestForCovarianceFindsPlantedBeam) {
   const auto cb = Codebook::dft(ArrayGeometry::upa(4, 4));
   const Vector planted = cb.codeword(11);
   const Matrix q = Matrix::outer(planted, planted) * cx{5.0, 0.0};
-  EXPECT_EQ(cb.top_k_for_covariance(q, 1)[0], 11u);
+  EXPECT_EQ(ranked(cb.covariance_scores(q), 1), std::vector<index_t>{11});
 }
 
 TEST(CodebookTest, TopKOrderingAndShape) {
   const auto cb = Codebook::dft(ArrayGeometry::upa(4, 4));
   Matrix q = Matrix::outer(cb.codeword(3), cb.codeword(3)) * cx{5.0, 0.0} +
              Matrix::outer(cb.codeword(9), cb.codeword(9)) * cx{2.0, 0.0};
-  const auto top = cb.top_k_for_covariance(q, 2);
+  const auto scores = cb.covariance_scores(q);
+  const auto top = ranked(scores, 2);
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0], 3u);
   EXPECT_EQ(top[1], 9u);
-  EXPECT_THROW(cb.top_k_for_covariance(q, 0), precondition_error);
-  EXPECT_THROW(cb.top_k_for_covariance(q, cb.size() + 1), precondition_error);
+  EXPECT_TRUE(ranked(scores, 0).empty());
+  EXPECT_EQ(ranked(scores, cb.size() + 1).size(), cb.size());
+  std::vector<real> short_buffer(cb.size() - 1);
+  EXPECT_THROW(cb.covariance_scores_into(q, short_buffer), precondition_error);
 }
 
 TEST(CodebookTest, SerpentineVisitsAllOnceAdjacently) {
@@ -200,17 +205,18 @@ TEST(CodebookTest, TopKBreaksExactTiesByLowestIndex) {
   // bit-exact determinism.
   const auto cb = Codebook::dft(ArrayGeometry::upa(4, 4));
   const Matrix zero(cb.codeword(0).size(), cb.codeword(0).size());
-  const auto top = cb.top_k_for_covariance(zero, cb.size());
+  const auto scores = cb.covariance_scores(zero);
+  const auto top = ranked(scores, cb.size());
   ASSERT_EQ(top.size(), cb.size());
   for (index_t i = 0; i < top.size(); ++i) EXPECT_EQ(top[i], i);
-  EXPECT_EQ(cb.top_k_for_covariance(zero, 1)[0], 0u);
+  EXPECT_EQ(ranked(scores, 1), std::vector<index_t>{0});
 }
 
 TEST(CodebookTest, FactoredTopKBreaksExactTiesByLowestIndex) {
   const auto cb = Codebook::dft(ArrayGeometry::upa(4, 4));
   const auto zero = linalg::FactoredHermitian::from_dense(
       Matrix(cb.codeword(0).size(), cb.codeword(0).size()));
-  const auto top = cb.top_k_for_covariance(zero, 5);
+  const auto top = ranked(cb.covariance_scores(zero), 5);
   ASSERT_EQ(top.size(), 5u);
   for (index_t i = 0; i < top.size(); ++i) EXPECT_EQ(top[i], i);
 }
@@ -222,10 +228,10 @@ TEST(CodebookTest, TopKDeterministicWithPlantedWinner) {
   const auto cb = Codebook::dft(ArrayGeometry::upa(4, 4));
   const Vector planted = cb.codeword(6);
   const Matrix q = Matrix::outer(planted, planted) * cx{4.0, 0.0};
-  const auto top = cb.top_k_for_covariance(q, 4);
+  const auto top = ranked(cb.covariance_scores(q), 4);
   ASSERT_EQ(top.size(), 4u);
   EXPECT_EQ(top[0], 6u);
-  EXPECT_EQ(top, cb.top_k_for_covariance(q, 4));
+  EXPECT_EQ(top, ranked(cb.covariance_scores(q), 4));
 }
 
 TEST(CodebookTest, TwoWideWrapHasNoDuplicateNeighbors) {

@@ -14,6 +14,7 @@
 #include "linalg/factored.h"
 #include "linalg/kernels.h"
 #include "randgen/rng.h"
+#include "ranked.h"
 
 namespace mmw::antenna {
 namespace {
@@ -74,16 +75,14 @@ TEST_F(CodebookTierEquivalenceTest, ScoresAndRankingsIdenticalAcrossTiers) {
       std::vector<real> avx2(cb.size());
       kernels::force_tier_for_testing(kernels::Tier::kScalar);
       cb.covariance_scores_into(q, scalar);
-      const auto ranking_scalar = cb.top_k_for_covariance(q, cb.size());
-      const auto top3_scalar =
-          cb.top_k_for_covariance(q, std::min<index_t>(3, cb.size()));
-      const index_t best_scalar = cb.top_k_for_covariance(q, 1)[0];
+      const auto ranking_scalar = ranked(scalar, cb.size());
+      const auto top3_scalar = ranked(scalar, 3);
+      const auto best_scalar = ranked(scalar, 1);
       kernels::force_tier_for_testing(kernels::Tier::kAvx2);
       cb.covariance_scores_into(q, avx2);
-      const auto ranking_avx2 = cb.top_k_for_covariance(q, cb.size());
-      const auto top3_avx2 =
-          cb.top_k_for_covariance(q, std::min<index_t>(3, cb.size()));
-      const index_t best_avx2 = cb.top_k_for_covariance(q, 1)[0];
+      const auto ranking_avx2 = ranked(avx2, cb.size());
+      const auto top3_avx2 = ranked(avx2, 3);
+      const auto best_avx2 = ranked(avx2, 1);
       EXPECT_EQ(scalar, avx2) << "n=" << n << " r=" << r;
       EXPECT_EQ(ranking_scalar, ranking_avx2) << "n=" << n << " r=" << r;
       EXPECT_EQ(top3_scalar, top3_avx2) << "n=" << n << " r=" << r;
@@ -148,13 +147,15 @@ TEST(CodebookBatchedScoringTest, FullModeMatchesDenseOverload) {
 TEST(CodebookBatchedScoringTest, AllTiedScoresRankByLowestIndex) {
   const auto cb = Codebook::dft(geometry_for(16));
   const Matrix zero(16, 16);
-  const auto ranking = cb.top_k_for_covariance(zero, cb.size());
+  std::vector<real> scores(cb.size());
+  cb.covariance_scores_into(zero, scores);
   std::vector<index_t> expected(cb.size());
   std::iota(expected.begin(), expected.end(), index_t{0});
-  EXPECT_EQ(ranking, expected);
+  EXPECT_EQ(ranked(scores, cb.size()), expected);
   if (kernels::cpu_supports_avx2()) {
     kernels::force_tier_for_testing(kernels::Tier::kAvx2);
-    EXPECT_EQ(cb.top_k_for_covariance(zero, cb.size()), expected);
+    cb.covariance_scores_into(zero, scores);
+    EXPECT_EQ(ranked(scores, cb.size()), expected);
     kernels::reset_tier_for_testing();
   }
 }

@@ -17,12 +17,14 @@
 #include "estimation/covariance_ml.h"
 #include "linalg/functions.h"
 #include "randgen/rng.h"
+#include "../antenna/ranked.h"
 
 namespace mmw::estimation {
 namespace {
 
 using antenna::ArrayGeometry;
 using antenna::Codebook;
+using antenna::ranked;
 using linalg::FactoredHermitian;
 using linalg::Matrix;
 using linalg::Vector;
@@ -108,11 +110,8 @@ void run_golden_check(const channel::Link& link, const Codebook& rx_cb,
     EXPECT_NEAR(scores_factored[i], scores_dense[i], 1e-10 * scale);
 
   // (3) Selection is identical: best beam and every top-k prefix.
-  EXPECT_EQ(rx_cb.top_k_for_covariance(res.q, 1)[0],
-            rx_cb.top_k_for_covariance(dense, 1)[0]);
   for (const index_t k : {index_t{1}, index_t{4}, rx_cb.size()}) {
-    EXPECT_EQ(rx_cb.top_k_for_covariance(res.q, k),
-              rx_cb.top_k_for_covariance(dense, k))
+    EXPECT_EQ(ranked(scores_factored, k), ranked(scores_dense, k))
         << "k=" << k;
   }
 }
@@ -154,8 +153,8 @@ TEST(FactoredEquivalenceTest, EmEstimatorGolden) {
     expect_bit_identical(res.q.dense(),
                          historical_lift(res.q.basis(), res.q.core()));
   }
-  EXPECT_EQ(rx_cb.top_k_for_covariance(res.q, 1)[0],
-            rx_cb.top_k_for_covariance(res.q.dense(), 1)[0]);
+  EXPECT_EQ(ranked(rx_cb.covariance_scores(res.q), 1),
+            ranked(rx_cb.covariance_scores(res.q.dense()), 1));
 }
 
 TEST(FactoredEquivalenceTest, FullModeScoresBitIdentical) {
@@ -176,8 +175,8 @@ TEST(FactoredEquivalenceTest, FullModeScoresBitIdentical) {
   ASSERT_EQ(scores_wrapped.size(), scores_dense.size());
   for (index_t i = 0; i < scores_dense.size(); ++i)
     EXPECT_EQ(scores_wrapped[i], scores_dense[i]);
-  EXPECT_EQ(rx_cb.top_k_for_covariance(f, rx_cb.size()),
-            rx_cb.top_k_for_covariance(q, rx_cb.size()));
+  EXPECT_EQ(ranked(scores_wrapped, rx_cb.size()),
+            ranked(scores_dense, rx_cb.size()));
 }
 
 }  // namespace

@@ -4,10 +4,132 @@
 
 #include <algorithm>
 #include <cmath>
+#include <concepts>
+#include <limits>
+#include <random>
 #include <set>
 
 namespace mmw::randgen {
 namespace {
+
+// -- the lazy mt19937_64 engine, against std::mt19937_64 as the oracle -----
+
+static_assert(std::uniform_random_bit_generator<MersenneTwister64>);
+static_assert(MersenneTwister64::min() == std::mt19937_64::min());
+static_assert(MersenneTwister64::max() == std::mt19937_64::max());
+
+/// Stream lengths on both sides of every boundary of the lazy engine: the
+/// end of the lazy first generation (156), the first and second full
+/// generations (312, 624) and a long stream.
+const std::vector<int> kLengths{0,   1,   155, 156, 157, 311,
+                                312, 313, 624, 625, 5000};
+
+/// Seeds: the edges of the 64-bit range, then SplitMix64 outputs (the
+/// kind of seed Rng::stream derives), 1,030 in all.
+std::vector<std::uint64_t> oracle_seeds() {
+  std::vector<std::uint64_t> seeds{0,
+                                   1,
+                                   2,
+                                   std::mt19937_64::default_seed,
+                                   std::uint64_t{1} << 63,
+                                   std::numeric_limits<std::uint64_t>::max()};
+  std::uint64_t state = 2016;
+  while (seeds.size() < 1030) {
+    std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    seeds.push_back(z ^ (z >> 31));
+  }
+  return seeds;
+}
+
+TEST(MersenneTwister64Test, RawDrawsEqualStdMt19937_64) {
+  // 625 draws cross the lazy first generation, its block tail at 156 and
+  // the first full twist at 312, for every seed.
+  for (const std::uint64_t seed : oracle_seeds()) {
+    MersenneTwister64 lazy(seed);
+    std::mt19937_64 oracle(seed);
+    for (int i = 0; i < 625; ++i)
+      ASSERT_EQ(lazy(), oracle()) << seed << " " << i;
+  }
+  for (const std::uint64_t seed : {0ULL, 1ULL, 0xFFFFFFFFFFFFFFFFULL}) {
+    MersenneTwister64 lazy(seed);
+    std::mt19937_64 oracle(seed);
+    for (int i = 0; i < 5000; ++i)
+      ASSERT_EQ(lazy(), oracle()) << seed << " " << i;
+  }
+}
+
+TEST(MersenneTwister64Test, TenThousandthDrawIsTheStandardsConstant) {
+  // [rand.predef]: the 10,000th invocation of a default-constructed
+  // mt19937_64 (seed 5489) returns 9981545732273789042.
+  MersenneTwister64 lazy(std::mt19937_64::default_seed);
+  for (int i = 1; i < 10000; ++i) lazy();
+  EXPECT_EQ(lazy(), 9981545732273789042ULL);
+}
+
+TEST(MersenneTwister64Test, CopyAfterAnyStreamLengthContinuesLikeItsSource) {
+  // A copy carries the seeded prefix and the counters only; from any point
+  // of the stream, source and copy must go on with the oracle's draws.
+  const std::vector<std::uint64_t> seeds = oracle_seeds();
+  for (std::size_t s = 0; s < seeds.size(); s += 103) {
+    for (const int length : kLengths) {
+      MersenneTwister64 source(seeds[s]);
+      std::mt19937_64 oracle(seeds[s]);
+      for (int i = 0; i < length; ++i) ASSERT_EQ(source(), oracle());
+      MersenneTwister64 copy(source);
+      // Assignment over an engine deep in another stream: its stale words
+      // past the copied prefix must never be read.
+      MersenneTwister64 assigned(~seeds[s]);
+      for (int i = 0; i < 700; ++i) assigned();
+      assigned = source;
+      for (int i = 0; i < 700; ++i) {
+        const std::uint64_t expected = oracle();
+        ASSERT_EQ(source(), expected) << length << " " << i;
+        ASSERT_EQ(copy(), expected) << length << " " << i;
+        ASSERT_EQ(assigned(), expected) << length << " " << i;
+      }
+    }
+  }
+}
+
+TEST(MersenneTwister64Test, RngCopyContinuesLikeItsSource) {
+  for (const int length : kLengths) {
+    Rng source = Rng::stream(1001, 2, 3, 4);
+    for (int i = 0; i < length; ++i) source.uniform();
+    Rng copy = source;
+    for (int i = 0; i < 400; ++i) ASSERT_EQ(copy.normal(), source.normal());
+  }
+}
+
+TEST(MersenneTwister64Test, DistributionsEqualStdOnMt19937_64) {
+  // Rng's draws are the libstdc++ distributions run on the engine, so on
+  // any seed they must equal the same calls on std::mt19937_64, through
+  // every boundary of the lazy engine (each round draws ~10 words).
+  for (const std::uint64_t seed :
+       {0ULL, 1ULL, 5489ULL, 0xFFFFFFFFFFFFFFFFULL, 0x243F6A8885A308D3ULL}) {
+    Rng rng(seed);
+    std::mt19937_64 g(seed);
+    for (int round = 0; round < 600; ++round) {
+      ASSERT_EQ(rng.normal(0.5, 2.0),
+                std::normal_distribution<real>(0.0, 1.0)(g) * 2.0 + 0.5);
+      ASSERT_EQ(rng.uniform(-1.0, 3.0),
+                std::uniform_real_distribution<real>(-1.0, 3.0)(g));
+      ASSERT_EQ(rng.uniform_int(3, 1000),
+                std::uniform_int_distribution<std::uint64_t>(3, 1000)(g));
+      ASSERT_EQ(rng.exponential(0.25),
+                std::exponential_distribution<real>(4.0)(g));
+      ASSERT_EQ(rng.poisson(1.8),
+                std::poisson_distribution<std::uint64_t>(1.8)(g));
+      ASSERT_EQ(rng.poisson(40.0),
+                std::poisson_distribution<std::uint64_t>(40.0)(g));
+      ASSERT_EQ(rng.lognormal(0.1, 0.7),
+                std::lognormal_distribution<real>(0.1, 0.7)(g));
+    }
+  }
+}
+
+// -- Rng -------------------------------------------------------------------
 
 TEST(RngTest, SameSeedSameStream) {
   Rng a(123), b(123);

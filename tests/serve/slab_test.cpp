@@ -44,6 +44,26 @@ TEST(SessionPool, AllocateValueInitializesRecycledSlots) {
   EXPECT_EQ(pool[again].departure_epoch, kNoDeparture);
 }
 
+TEST(SessionPool, AllocateValueInitializesFreshCellsOnEveryPage) {
+  // A new slab is raw storage and each cell is constructed when it is
+  // handed out. Check every cell of two slabs that span several pages,
+  // the first cell on each page and the first of the second slab among
+  // them, for the default field values a zero page would not have.
+  constexpr index_t kCapacity = 256;
+  static_assert(kCapacity * sizeof(UserSession) > 4 * 4096);
+  SessionPool pool(kCapacity);
+  for (index_t i = 0; i < 2 * kCapacity; ++i) {
+    const index_t slot = pool.allocate();
+    ASSERT_EQ(slot, i);
+    EXPECT_EQ(pool[slot].user_key, 0u);
+    EXPECT_EQ(pool[slot].departure_epoch, kNoDeparture);
+    EXPECT_EQ(pool[slot].trained_energy, -1.0f);
+    EXPECT_EQ(pool[slot].aligning, 1u);
+    EXPECT_EQ(pool[slot].rank, 0u);
+  }
+  EXPECT_EQ(pool.n_slabs(), 2u);
+}
+
 TEST(SessionPool, LiveIterationIsAscendingAndSkipsDead) {
   SessionPool pool(4);
   for (index_t i = 0; i < 7; ++i) pool.allocate();
