@@ -20,27 +20,14 @@
 #include "fig_common.h"
 #include "sim/robustness.h"
 
-namespace {
-
-mmw::index_t trials_from_cli(int argc, char** argv, mmw::index_t fallback) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--trials=", 9) == 0)
-      return std::strtoull(argv[i] + 9, nullptr, 10);
-    if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc)
-      return std::strtoull(argv[i + 1], nullptr, 10);
-  }
-  return fallback;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace mmw;
   using namespace mmw::sim;
 
   bench::BenchRun run("ext_fault_robustness", argc, argv);
   Scenario sc = bench::paper_scenario(ChannelKind::kNycMultipath, 15);
-  sc.trials = trials_from_cli(argc, argv, sc.trials);
+  sc.trials = bench::flag_u64(argc, argv, "--trials", sc.trials);
+  if (sc.trials == 0) bench::usage_error("--trials must be positive");
   sc.threads = bench::threads_from_cli(argc, argv);
   run.add_scenario(sc);
   bench::print_header("Extension E8",
@@ -58,10 +45,8 @@ int main(int argc, char** argv) {
       &random_search, &scan_search,  &exhaustive,   &proposed,
       &hierarchical,  &ping_pong,    &local_search};
 
-  RobustnessConfig config;
-  config.scenario = sc;
   run.manifest().add_config("budget_rate",
-                            static_cast<double>(config.budget_rate));
+                            static_cast<double>(kRobustnessBudgetRate));
   run.manifest().add_config("failure_loss_db",
                             static_cast<double>(kFailureLossDb));
   // E8 always re-aligns with the session's default policy.
@@ -114,7 +99,7 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<FaultCaseResult> results =
-      run_fault_robustness(config, strategies, cases);
+      run_fault_robustness(sc, strategies, cases);
 
   for (const FaultCaseResult& r : results) {
     std::printf("case %-13s (quarantined %zu/%zu)\n", r.name.c_str(),

@@ -34,7 +34,6 @@
 // explicit =path applies verbatim when --sessions pins a single scale).
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -45,35 +44,6 @@
 namespace {
 
 using namespace mmw;
-
-double cli_real(int argc, char** argv, const char* name, double fallback) {
-  const std::size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=')
-      return std::strtod(argv[i] + len + 1, nullptr);
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc)
-      return std::strtod(argv[i + 1], nullptr);
-  }
-  return fallback;
-}
-
-std::uint64_t cli_u64(int argc, char** argv, const char* name,
-                      std::uint64_t fallback) {
-  const double v = cli_real(argc, argv, name, -1.0);
-  return v < 0.0 ? fallback : static_cast<std::uint64_t>(v);
-}
-
-/// Presence + value of a --name / --name=value flag: nullptr when absent,
-/// "" for the bare flag, the value otherwise.
-const char* cli_flag(int argc, char** argv, const char* name) {
-  const std::size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return "";
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=')
-      return argv[i] + len + 1;
-  }
-  return nullptr;
-}
 
 struct ScaleResult {
   index_t sessions = 0;
@@ -118,12 +88,12 @@ int main(int argc, char** argv) {
   topo.cells = 64;
   topo.cell_radius_m = 100.0;
 
-  const std::uint64_t epochs = cli_u64(argc, argv, "--epochs", 8);
+  const std::uint64_t epochs = bench::flag_u64(argc, argv, "--epochs", 8);
   const double arrival_override =
-      cli_real(argc, argv, "--arrival-rate", -1.0);
-  const double sojourn = cli_real(argc, argv, "--sojourn", 100.0);
-  const std::uint64_t single = cli_u64(argc, argv, "--sessions", 0);
-  const char* telemetry = cli_flag(argc, argv, "--telemetry");
+      bench::flag_real(argc, argv, "--arrival-rate", -1.0);
+  const double sojourn = bench::flag_real(argc, argv, "--sojourn", 100.0);
+  const std::uint64_t single = bench::flag_u64(argc, argv, "--sessions", 0);
+  const char* telemetry = bench::flag_option(argc, argv, "--telemetry");
 
   std::vector<index_t> scales;
   if (single > 0)
@@ -166,10 +136,10 @@ int main(int argc, char** argv) {
     cfg.mean_sojourn_epochs = sojourn;
     // One alignment slot per TX beam: the deterministic TX sweep covers
     // the whole M=4 codebook before a session claims its pair.
-    cfg.align_epochs = cli_u64(argc, argv, "--align-epochs",
-                               sc.tx_grid_x * sc.tx_grid_y);
-    cfg.probes_per_slot = cli_u64(argc, argv, "--probes", 8);
-    cfg.track_fades = cli_u64(argc, argv, "--track-fades", 4);
+    cfg.align_epochs = bench::flag_u64(argc, argv, "--align-epochs",
+                                       sc.tx_grid_x * sc.tx_grid_y);
+    cfg.probes_per_slot = bench::flag_u64(argc, argv, "--probes", 8);
+    cfg.track_fades = bench::flag_u64(argc, argv, "--track-fades", 4);
     // One slab per site holds the initial cohort exactly at small scales
     // (less slab-quantization slack in bytes/session); clamped to the
     // default 4096 grain at city scale so shards stay balanced.

@@ -32,58 +32,11 @@
 // --threads N / MMW_THREADS, --tiny (CI smoke: 4 users × 24 epochs,
 // warmup 8).
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "fig_common.h"
 #include "track/engine.h"
-
-namespace {
-
-using namespace mmw;
-
-std::uint64_t cli_u64(int argc, char** argv, const char* name,
-                      std::uint64_t fallback) {
-  const std::size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=')
-      return std::strtoull(argv[i] + len + 1, nullptr, 10);
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc)
-      return std::strtoull(argv[i + 1], nullptr, 10);
-  }
-  return fallback;
-}
-
-bool cli_has(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return true;
-  return false;
-}
-
-std::vector<real> cli_speeds(int argc, char** argv,
-                             std::vector<real> fallback) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = nullptr;
-    if (std::strncmp(argv[i], "--speeds=", 9) == 0)
-      arg = argv[i] + 9;
-    else if (std::strcmp(argv[i], "--speeds") == 0 && i + 1 < argc)
-      arg = argv[i + 1];
-    if (arg == nullptr) continue;
-    std::vector<real> speeds;
-    const char* p = arg;
-    while (*p != '\0') {
-      char* end = nullptr;
-      speeds.push_back(std::strtod(p, &end));
-      if (end == p) break;
-      p = (*end == ',') ? end + 1 : end;
-    }
-    if (!speeds.empty()) return speeds;
-  }
-  return fallback;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace mmw;
@@ -105,18 +58,18 @@ int main(int argc, char** argv) {
   sc.threads = bench::threads_from_cli(argc, argv);
   run.add_scenario(sc);
 
-  const bool tiny = cli_has(argc, argv, "--tiny");
+  const bool tiny = bench::flag_option(argc, argv, "--tiny") != nullptr;
 
   track::TrackingConfig cfg;
   cfg.scenario = sc;
   cfg.topology.cells = 7;
   cfg.topology.cell_radius_m = 100.0;
   cfg.users = static_cast<index_t>(
-      cli_u64(argc, argv, "--users", tiny ? 4 : 24));
+      bench::flag_u64(argc, argv, "--users", tiny ? 4 : 24));
   cfg.epochs = static_cast<index_t>(
-      cli_u64(argc, argv, "--epochs", tiny ? 24 : 120));
+      bench::flag_u64(argc, argv, "--epochs", tiny ? 24 : 120));
   cfg.warmup_epochs = static_cast<index_t>(
-      cli_u64(argc, argv, "--warmup", tiny ? 8 : 40));
+      bench::flag_u64(argc, argv, "--warmup", tiny ? 8 : 40));
   cfg.mobility.epoch_seconds = 0.5;
   cfg.mobility.hysteresis_db = 3.0;
   cfg.evolution.drift_rad_per_meter = 0.004;
@@ -127,7 +80,7 @@ int main(int argc, char** argv) {
   cfg.evolution.blockage_gain = 0.02;
 
   const std::vector<real> speeds =
-      cli_speeds(argc, argv, {1.4, 13.9, 33.3});
+      bench::flag_reals(argc, argv, "--speeds", {1.4, 13.9, 33.3});
   const std::vector<track::TrackerKind> kinds{
       track::TrackerKind::kColdStart, track::TrackerKind::kWarmMl,
       track::TrackerKind::kNeighborhood, track::TrackerKind::kBanditUcb};

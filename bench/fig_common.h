@@ -2,12 +2,15 @@
 // configuration (Sec. V-A) and a uniform report format.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
 #include <system_error>
+#include <vector>
 
 #include "core/thread_pool.h"
 #include "linalg/kernels.h"
@@ -18,19 +21,101 @@
 
 namespace mmw::bench {
 
-/// Thread-count knob shared by every figure bench: `--threads N` (or
-/// `--threads=N`) on the command line, else the MMW_THREADS environment
-/// variable, else 0 = auto (all hardware threads). The results are
-/// bit-identical for any value — this only trades wall-clock for cores.
-inline index_t threads_from_cli(int argc, char** argv) {
+// -- Command-line flags -------------------------------------------------------
+// The one flag reader of the bench drivers. A value flag is given as
+// `--name value` or `--name=value`, and its first occurrence wins. A
+// malformed value ends the process with exit status 2 before any work runs.
+
+/// Prints `message` to stderr and exits with status 2 (bad command line).
+[[noreturn]] inline void usage_error(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  std::exit(2);
+}
+
+/// Value of the value flag `name`, or nullptr when it is absent.
+inline const char* flag_value(int argc, char** argv, const char* name) {
+  const std::size_t len = std::strlen(name);
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0)
-      return std::strtoull(argv[i] + 10, nullptr, 10);
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-      return std::strtoull(argv[i + 1], nullptr, 10);
+    if (std::strncmp(argv[i], name, len) != 0) continue;
+    if (argv[i][len] == '=') return argv[i] + len + 1;
+    if (argv[i][len] != '\0') continue;
+    if (i + 1 >= argc) usage_error(std::string("missing value for ") + name);
+    return argv[i + 1];
   }
+  return nullptr;
+}
+
+/// A flag whose value is optional and only given as `--name=value`:
+/// nullptr when absent, "" for the bare `--name`, else the value.
+inline const char* flag_option(int argc, char** argv, const char* name) {
+  const std::size_t len = std::strlen(name);
+  for (int i = 1; i < argc; ++i)
+    if (std::strncmp(argv[i], name, len) == 0 &&
+        (argv[i][len] == '\0' || argv[i][len] == '='))
+      return argv[i][len] == '=' ? argv[i] + len + 1 : "";
+  return nullptr;
+}
+
+/// All of `text` as a non-negative decimal integer; `what` names the input
+/// in the error.
+inline std::uint64_t parse_u64(const char* what, const char* text) {
+  const char* end = text + std::strlen(text);
+  std::uint64_t v = 0;
+  const auto [stop, ec] = std::from_chars(text, end, v);
+  if (text == end || ec != std::errc() || stop != end)
+    usage_error(std::string(what) + " needs a non-negative integer, got '" +
+                text + "'");
+  return v;
+}
+
+/// All of `text` as a finite decimal number.
+inline double parse_real(const char* what, const char* text) {
+  const char* end = text + std::strlen(text);
+  double v = 0.0;
+  const auto [stop, ec] = std::from_chars(text, end, v);
+  if (text == end || ec != std::errc() || stop != end || !std::isfinite(v))
+    usage_error(std::string(what) + " needs a finite number, got '" + text +
+                "'");
+  return v;
+}
+
+inline std::uint64_t flag_u64(int argc, char** argv, const char* name,
+                              std::uint64_t fallback) {
+  const char* v = flag_value(argc, argv, name);
+  return v == nullptr ? fallback : parse_u64(name, v);
+}
+
+inline double flag_real(int argc, char** argv, const char* name,
+                        double fallback) {
+  const char* v = flag_value(argc, argv, name);
+  return v == nullptr ? fallback : parse_real(name, v);
+}
+
+/// A comma-separated list of finite numbers, e.g. `--speeds 1.4,33.3`.
+inline std::vector<real> flag_reals(int argc, char** argv, const char* name,
+                                    std::vector<real> fallback) {
+  const char* v = flag_value(argc, argv, name);
+  if (v == nullptr) return fallback;
+  std::vector<real> out;
+  const std::string list = v;
+  for (std::size_t pos = 0; pos <= list.size();) {
+    std::size_t next = list.find(',', pos);
+    if (next == std::string::npos) next = list.size();
+    out.push_back(parse_real(name, list.substr(pos, next - pos).c_str()));
+    pos = next + 1;
+  }
+  return out;
+}
+
+/// Thread-count knob shared by every figure bench: `--threads N` on the
+/// command line, else the MMW_THREADS environment variable, else 0 = auto
+/// (all hardware threads). The results are bit-identical for any value —
+/// this only trades wall-clock for cores.
+inline index_t threads_from_cli(int argc, char** argv) {
+  if (const char* v = flag_value(argc, argv, "--threads"))
+    return parse_u64("--threads", v);
   if (const char* env = std::getenv("MMW_THREADS"))
-    return std::strtoull(env, nullptr, 10);
+    return parse_u64("MMW_THREADS", env);
   return 0;
 }
 
@@ -92,26 +177,19 @@ class BenchRun {
  public:
   BenchRun(std::string name, int argc, char** argv)
       : name_(std::move(name)), manifest_(name_) {
-    bool on = obs::init_from_env(/*default_on=*/true);
-    for (int i = 1; i < argc; ++i) {
-      const auto flag = [&](const char* prefix) -> const char* {
-        const std::size_t len = std::strlen(prefix);
-        if (std::strncmp(argv[i], prefix, len) == 0 && argv[i][len] == '=')
-          return argv[i] + len + 1;
-        if (std::strcmp(argv[i], prefix) == 0)
-          return i + 1 < argc ? argv[++i] : "";
-        return nullptr;
-      };
-      if (const char* v = flag("--obs")) {
-        on = !(std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0 ||
-               std::strcmp(v, "false") == 0);
-        obs::set_enabled(on);
-      } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-        trace_path_ = argv[i] + 8;
-      } else if (std::strcmp(argv[i], "--trace") == 0) {
-        trace_path_ = "bench_results/" + name_ + "_trace.json";
-      }
+    obs::init_from_env(/*default_on=*/true);
+    if (const char* v = flag_value(argc, argv, "--obs")) {
+      const std::string mode = v;
+      if (mode == "on" || mode == "1" || mode == "true")
+        obs::set_enabled(true);
+      else if (mode == "off" || mode == "0" || mode == "false")
+        obs::set_enabled(false);
+      else
+        usage_error("--obs needs on or off, got '" + mode + "'");
     }
+    if (const char* v = flag_option(argc, argv, "--trace"))
+      trace_path_ =
+          *v != '\0' ? v : "bench_results/" + name_ + "_trace.json";
     // A fresh registry per run: a bench may execute warm-up work before
     // main's sweep in future; today this is a no-op on first use.
     obs::Registry::global().reset();

@@ -4,17 +4,20 @@
 // Usage:
 //   alignment_cli [--channel single|nyc] [--experiment loss|cost]
 //                 [--trials N] [--seed S] [--gamma-db G] [--fades K]
-//                 [--codebook angular|dft] [--slot-j J]
+//                 [--codebook angular|dft] [--slot-j J]  (J >= 2)
 //                 [--threads T]            (0 = all cores, 1 = serial;
 //                                           results identical either way)
-//                 [--rates r1,r2,...]      (loss experiment)
-//                 [--targets t1,t2,...]    (cost experiment)
+//                 [--rates r1,r2,...]      (loss experiment; ascending,
+//                                           each in (0, 1])
+//                 [--targets t1,t2,...]    (cost experiment; dB >= 0)
 //                 [--csv]
 //                 [--trace PATH]           (write a Chrome trace JSON —
 //                                           load in chrome://tracing or
 //                                           ui.perfetto.dev)
 //                 [--metrics PATH]         (write the merged metrics
 //                                           snapshot as JSON)
+//
+// A malformed or out-of-range value ends the run with exit status 2.
 //
 // Instrumentation: --trace/--metrics turn the obs layer on; otherwise it
 // follows MMW_OBS (default off for this example — zero overhead).
@@ -23,9 +26,11 @@
 //   alignment_cli --channel nyc --experiment loss --trials 30
 //   alignment_cli --experiment cost --targets 3,2,1 --csv
 //   alignment_cli --trials 5 --trace run_trace.json --metrics run_metrics.json
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -43,20 +48,35 @@ using namespace mmw;
   std::exit(2);
 }
 
-std::vector<real> parse_list(const std::string& csv) {
+/// All of `text` as a non-negative decimal integer.
+std::uint64_t parse_count(const std::string& flag, const std::string& text) {
+  const char* end = text.data() + text.size();
+  std::uint64_t v = 0;
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || stop != end)
+    usage_error(flag + " needs a non-negative integer, got '" + text + "'");
+  return v;
+}
+
+/// All of `text` as a finite decimal number.
+real parse_real(const std::string& flag, const std::string& text) {
+  const char* end = text.data() + text.size();
+  real v = 0.0;
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || stop != end || !std::isfinite(v))
+    usage_error(flag + " needs a finite number, got '" + text + "'");
+  return v;
+}
+
+/// A comma-separated list of finite numbers.
+std::vector<real> parse_list(const std::string& flag, const std::string& csv) {
   std::vector<real> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
+  for (std::size_t pos = 0; pos <= csv.size();) {
     std::size_t next = csv.find(',', pos);
     if (next == std::string::npos) next = csv.size();
-    try {
-      out.push_back(std::stod(csv.substr(pos, next - pos)));
-    } catch (const std::exception&) {
-      usage_error("could not parse number in list: " + csv);
-    }
+    out.push_back(parse_real(flag, csv.substr(pos, next - pos)));
     pos = next + 1;
   }
-  if (out.empty()) usage_error("empty list: " + csv);
   return out;
 }
 
@@ -94,15 +114,16 @@ int main(int argc, char** argv) {
       if (experiment != "loss" && experiment != "cost")
         usage_error("unknown experiment: " + experiment);
     } else if (arg == "--trials") {
-      scenario.trials = std::strtoull(value().c_str(), nullptr, 10);
+      scenario.trials = parse_count(arg, value());
       if (scenario.trials == 0) usage_error("trials must be positive");
     } else if (arg == "--seed") {
-      scenario.seed = std::strtoull(value().c_str(), nullptr, 10);
+      scenario.seed = parse_count(arg, value());
     } else if (arg == "--gamma-db") {
-      scenario.gamma = std::pow(10.0, std::stod(value()) / 10.0);
+      scenario.gamma = std::pow(10.0, parse_real(arg, value()) / 10.0);
+      if (!(scenario.gamma > 0.0 && std::isfinite(scenario.gamma)))
+        usage_error("--gamma-db is out of range");
     } else if (arg == "--fades") {
-      scenario.fades_per_measurement =
-          std::strtoull(value().c_str(), nullptr, 10);
+      scenario.fades_per_measurement = parse_count(arg, value());
       if (scenario.fades_per_measurement == 0)
         usage_error("fades must be positive");
     } else if (arg == "--codebook") {
@@ -114,14 +135,20 @@ int main(int argc, char** argv) {
       else
         usage_error("unknown codebook: " + v);
     } else if (arg == "--threads") {
-      scenario.threads = std::strtoull(value().c_str(), nullptr, 10);
+      scenario.threads = parse_count(arg, value());
     } else if (arg == "--slot-j") {
-      proposed_opts.measurements_per_slot =
-          std::strtoull(value().c_str(), nullptr, 10);
+      proposed_opts.measurements_per_slot = parse_count(arg, value());
+      if (proposed_opts.measurements_per_slot < 2)
+        usage_error("--slot-j must be at least 2");
     } else if (arg == "--rates") {
-      rates = parse_list(value());
+      rates = parse_list(arg, value());
+      if (!std::is_sorted(rates.begin(), rates.end()) ||
+          !(rates.front() > 0.0 && rates.back() <= 1.0))
+        usage_error("--rates must be ascending, each in (0, 1]");
     } else if (arg == "--targets") {
-      targets = parse_list(value());
+      targets = parse_list(arg, value());
+      for (const real t : targets)
+        if (t < 0.0) usage_error("--targets must be non-negative dB");
     } else if (arg == "--csv") {
       csv = true;
     } else if (arg == "--trace") {

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "antenna/steering.h"
-#include "linalg/functions.h"
 
 namespace mmw::channel {
 
@@ -107,12 +106,6 @@ void Link::draw_effective_channel_into(const Vector& u, randgen::Rng& rng,
                  linalg::dot(tx_steering_[l], u);
     for (index_t i = 0; i < n_; ++i) h[i] += g * rx_steering_[l][i];
   }
-}
-
-Vector sample_complex_gaussian(const Matrix& q, randgen::Rng& rng) {
-  MMW_REQUIRE(q.is_square());
-  const Matrix root = linalg::hermitian_sqrt(q);
-  return root * rng.complex_gaussian_vector(q.rows());
 }
 
 }  // namespace mmw::channel

@@ -94,9 +94,4 @@ class Link {
   real amplitude_scale_ = 1.0;  ///< √(N·M)
 };
 
-/// Draws x ~ CN(0, Q) for a Hermitian PSD covariance Q (via its PSD square
-/// root). Utility for tests and for synthetic covariance experiments.
-linalg::Vector sample_complex_gaussian(const linalg::Matrix& q,
-                                       randgen::Rng& rng);
-
 }  // namespace mmw::channel

@@ -5,14 +5,6 @@
 
 namespace mmw::channel {
 
-real friis_path_loss_db(real frequency_ghz, real distance_m) {
-  MMW_REQUIRE(frequency_ghz > 0.0);
-  MMW_REQUIRE(distance_m > 0.0);
-  constexpr real c = 299792458.0;  // m/s
-  const real f_hz = frequency_ghz * 1e9;
-  return 20.0 * std::log10(4.0 * M_PI * distance_m * f_hz / c);
-}
-
 NycPathLossParams NycPathLossParams::nyc_28ghz() {
   // Akdeniz et al., "Millimeter wave channel modeling and cellular capacity
   // evaluation," IEEE JSAC 32(6), 2014, Table I (28 GHz).
@@ -23,21 +15,6 @@ NycPathLossParams NycPathLossParams::nyc_28ghz() {
       .alpha_nlos = 72.0,
       .beta_nlos = 2.92,
       .sigma_nlos_db = 8.7,
-      .a_los = 1.0 / 67.1,
-      .a_out = 1.0 / 30.0,
-      .b_out = 5.2,
-  };
-}
-
-NycPathLossParams NycPathLossParams::nyc_73ghz() {
-  // Same campaign at 73 GHz.
-  return {
-      .alpha_los = 69.8,
-      .beta_los = 2.0,
-      .sigma_los_db = 5.8,
-      .alpha_nlos = 86.6,
-      .beta_nlos = 2.45,
-      .sigma_nlos_db = 8.0,
       .a_los = 1.0 / 67.1,
       .a_out = 1.0 / 30.0,
       .b_out = 5.2,

@@ -1,16 +1,11 @@
-// Path-loss models for mmWave links: free-space (Friis) and the empirical
-// NYC 28/73 GHz model of Akdeniz et al. (IEEE JSAC 2014), the channel the
-// paper evaluates on.
+// Path-loss model for mmWave links: the empirical NYC 28 GHz model of
+// Akdeniz et al. (IEEE JSAC 2014), the channel the paper evaluates on.
 #pragma once
 
 #include "linalg/common.h"
 #include "randgen/rng.h"
 
 namespace mmw::channel {
-
-/// Free-space path loss in dB: 20·log10(4π·d·f/c).
-/// Preconditions: distance_m > 0, frequency_ghz > 0.
-real friis_path_loss_db(real frequency_ghz, real distance_m);
 
 /// Link state of the Akdeniz NYC model.
 enum class LinkState { kLos, kNlos, kOutage };
@@ -33,8 +28,6 @@ struct NycPathLossParams {
 
   /// Fitted values from the 28 GHz New York City measurement campaign.
   static NycPathLossParams nyc_28ghz();
-  /// Fitted values from the 73 GHz campaign.
-  static NycPathLossParams nyc_73ghz();
 };
 
 /// Samples the link state at the given distance.

@@ -54,7 +54,6 @@ StandardSweepResult run_standard_sweep(const channel::Link& link,
                                        randgen::Rng& rng) {
   MMW_REQUIRE(cfg.gamma > 0.0);
   MMW_REQUIRE(cfg.fades_per_measurement >= 1);
-  MMW_REQUIRE(cfg.sector_subarray >= 1);
   MMW_REQUIRE(tx_codebook.codeword(0).size() == link.tx_size());
   MMW_REQUIRE(rx_codebook.codeword(0).size() == link.rx_size());
   MMW_REQUIRE_MSG(tx_codebook.grid_x() % cfg.tx_sectors_x == 0 &&

@@ -22,11 +22,11 @@ namespace mmw::core {
 struct StandardSweepConfig {
   /// Sector grid at each end (sectors_x × sectors_y blocks of the fine
   /// beam grid). Grid dimensions must be divisible by the sector counts.
-  index_t tx_sectors_x = 2, tx_sectors_y = 2;
-  index_t rx_sectors_x = 2, rx_sectors_y = 2;
+  static constexpr index_t tx_sectors_x = 2, tx_sectors_y = 2;
+  static constexpr index_t rx_sectors_x = 2, rx_sectors_y = 2;
 
   /// Subarray used to form the wide sector beams (elements per axis).
-  index_t sector_subarray = 2;
+  static constexpr index_t sector_subarray = 2;
 
   real gamma = 1.0;               ///< pre-beamforming SNR (linear)
   index_t fades_per_measurement = 8;

@@ -406,15 +406,10 @@ void LocalSearch::run(Session& session) const {
   }
 }
 
-HierarchicalSearch::HierarchicalSearch(HierarchicalOptions options)
-    : options_(options) {
-  MMW_REQUIRE_MSG(options_.stride >= 1, "stride must be at least 1");
-}
-
 void HierarchicalSearch::run(Session& session) const {
   const Codebook& tx_cb = session.tx_codebook();
   const Codebook& rx_cb = session.rx_codebook();
-  const index_t s = options_.stride;
+  const index_t s = HierarchicalOptions::stride;
 
   auto subgrid = [s](const Codebook& cb) {
     std::vector<index_t> out;
@@ -442,7 +437,7 @@ void HierarchicalSearch::run(Session& session) const {
   // Stage 2: exhaustive refinement inside the Chebyshev window around the
   // coarse winner (window radius = stride·refine_radius so the window
   // covers the coarse cell).
-  const index_t radius = s * options_.refine_radius;
+  const index_t radius = s * HierarchicalOptions::refine_radius;
   auto window = [radius](const Codebook& cb, index_t center) {
     const auto [cx_, cy_] = cb.coordinates(center);
     std::vector<index_t> out;

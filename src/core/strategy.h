@@ -126,18 +126,16 @@ class ProposedAlignment final : public AlignmentStrategy {
 /// the full-resolution neighbourhood of the best coarse pair, then spends
 /// any leftover budget randomly.
 struct HierarchicalOptions {
-  index_t stride = 2;        ///< coarse subsampling stride on both grids
-  index_t refine_radius = 1; ///< Chebyshev radius of the refinement window
+  /// Coarse subsampling stride on both grids.
+  static constexpr index_t stride = 2;
+  /// Chebyshev radius of the refinement window, in strides.
+  static constexpr index_t refine_radius = 1;
 };
 
 class HierarchicalSearch final : public AlignmentStrategy {
  public:
-  explicit HierarchicalSearch(HierarchicalOptions options = {});
   std::string_view name() const override { return "Hierarchical"; }
   void run(mac::Session& session) const override;
-
- private:
-  HierarchicalOptions options_;
 };
 
 /// Bidirectional ("ping-pong") extension of the proposed scheme, building

@@ -23,7 +23,9 @@ struct CovarianceMlOptions {
   real gamma = 100.0;      ///< pre-beamforming SNR γ = Es/N0 (paper eq. 15)
   int max_iterations = 150;
   real tolerance = 1e-5;   ///< stop when relative objective decrease < tol
-  real initial_step = 1.0;
+  /// First proximal-gradient step, and the cap each accepted step doubles
+  /// back up to.
+  static constexpr real initial_step = 1.0;
   int max_backtracks = 40;
 };
 

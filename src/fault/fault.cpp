@@ -16,20 +16,12 @@ FaultPlan FaultPlan::draw(const FaultConfig& config, index_t budget,
                           index_t n_paths, randgen::Rng& rng) {
   require_probability(config.blockage_probability,
                       "blockage probability must be in [0, 1]");
-  require_probability(config.blockage_path_probability,
-                      "blockage path probability must be in [0, 1]");
   require_probability(config.outlier_probability,
                       "outlier probability must be in [0, 1]");
   require_probability(config.drop_probability,
                       "drop probability must be in [0, 1]");
   require_probability(config.solver_stress_probability,
                       "solver stress probability must be in [0, 1]");
-  MMW_REQUIRE_MSG(config.blockage_attenuation_db >= 0.0,
-                  "blockage attenuation must be non-negative dB");
-  MMW_REQUIRE_MSG(config.outlier_shape > 1.0,
-                  "outlier shape must exceed 1 (finite-mean Pareto)");
-  MMW_REQUIRE_MSG(config.outlier_scale > 0.0,
-                  "outlier scale must be positive");
   MMW_REQUIRE_MSG(budget > 0, "fault plan needs a positive budget");
   MMW_REQUIRE_MSG(n_paths > 0, "fault plan needs at least one path");
 

@@ -35,18 +35,18 @@ struct FaultConfig {
   real blockage_probability = 0.0;
   /// Mean attenuation depth (dB) of a shadowed path; the per-path depth is
   /// jittered uniformly in [0.5, 1.5]× this value.
-  real blockage_attenuation_db = 20.0;
+  static constexpr real blockage_attenuation_db = 20.0;
   /// Each path is shadowed independently with this probability (at least
   /// one path is always shadowed when the blockage event fires). Partial
   /// shadowing keeps multipath recovery via alternate beams possible.
-  real blockage_path_probability = 0.75;
+  static constexpr real blockage_path_probability = 0.75;
 
   /// Per-measurement-slot probability of a heavy-tailed energy outlier:
   /// the recorded energy is multiplied by a Pareto(outlier_shape) spike of
   /// at least outlier_scale — a calibration glitch or interference burst.
   real outlier_probability = 0.0;
-  real outlier_shape = 1.5;  ///< Pareto tail index (> 1)
-  real outlier_scale = 10.0; ///< minimum spike multiplier (> 0)
+  static constexpr real outlier_shape = 1.5;   ///< Pareto tail index (> 1)
+  static constexpr real outlier_scale = 10.0;  ///< minimum spike multiplier
 
   /// Per-measurement-slot probability that the slot is lost outright (the
   /// sync/control channel dropped): the radio records zero energy and the

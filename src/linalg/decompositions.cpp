@@ -72,54 +72,6 @@ LuResult lu_decompose(const Matrix& a) {
   return r;
 }
 
-Vector solve(const Matrix& a, const Vector& b) {
-  MMW_REQUIRE(a.rows() == b.size());
-  const LuResult f = lu_decompose(a);
-  MMW_REQUIRE_MSG(!f.singular, "solve: singular matrix");
-  const index_t n = a.rows();
-
-  // Forward substitution on Pb with unit-lower L.
-  Vector y(n);
-  for (index_t i = 0; i < n; ++i) {
-    cx acc = b[f.perm[i]];
-    for (index_t j = 0; j < i; ++j) acc -= f.lu(i, j) * y[j];
-    y[i] = acc;
-  }
-  // Back substitution with U.
-  Vector x(n);
-  for (index_t ii = n; ii-- > 0;) {
-    cx acc = y[ii];
-    for (index_t j = ii + 1; j < n; ++j) acc -= f.lu(ii, j) * x[j];
-    x[ii] = acc / f.lu(ii, ii);
-  }
-  return x;
-}
-
-Matrix inverse(const Matrix& a) {
-  MMW_REQUIRE_MSG(a.is_square(), "inverse requires a square matrix");
-  const index_t n = a.rows();
-  const LuResult f = lu_decompose(a);
-  MMW_REQUIRE_MSG(!f.singular, "inverse: singular matrix");
-
-  Matrix inv(n, n);
-  for (index_t col = 0; col < n; ++col) {
-    Vector y(n);
-    for (index_t i = 0; i < n; ++i) {
-      cx acc = (f.perm[i] == col) ? cx{1.0, 0.0} : cx{0.0, 0.0};
-      for (index_t j = 0; j < i; ++j) acc -= f.lu(i, j) * y[j];
-      y[i] = acc;
-    }
-    Vector x(n);
-    for (index_t ii = n; ii-- > 0;) {
-      cx acc = y[ii];
-      for (index_t j = ii + 1; j < n; ++j) acc -= f.lu(ii, j) * x[j];
-      x[ii] = acc / f.lu(ii, ii);
-    }
-    inv.set_col(col, x);
-  }
-  return inv;
-}
-
 cx determinant(const Matrix& a) {
   const LuResult f = lu_decompose(a);
   if (f.singular) return cx{0.0, 0.0};

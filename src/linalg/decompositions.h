@@ -1,4 +1,4 @@
-// Cholesky and LU factorizations, linear solves, inverse.
+// Cholesky, LU and QR factorizations, determinant, least squares.
 #pragma once
 
 #include <optional>
@@ -27,13 +27,6 @@ struct LuResult {
 /// Computes PA = LU with partial pivoting. Never throws on singular input;
 /// check `singular` instead.
 LuResult lu_decompose(const Matrix& a);
-
-/// Solves A x = b via LU with partial pivoting.
-/// Throws precondition_error when A is singular to working precision.
-Vector solve(const Matrix& a, const Vector& b);
-
-/// Matrix inverse via LU. Prefer solve() when a single system suffices.
-Matrix inverse(const Matrix& a);
 
 /// Determinant via LU.
 cx determinant(const Matrix& a);

@@ -81,13 +81,6 @@ Vector Matrix::col(index_t j) const {
   return out;
 }
 
-Vector Matrix::row(index_t i) const {
-  MMW_REQUIRE(i < rows_);
-  Vector out(cols_);
-  for (index_t j = 0; j < cols_; ++j) out[j] = (*this)(i, j);
-  return out;
-}
-
 void Matrix::set_col(index_t j, const Vector& v) {
   MMW_REQUIRE(j < cols_ && v.size() == rows_);
   for (index_t i = 0; i < rows_; ++i) (*this)(i, j) = v[i];

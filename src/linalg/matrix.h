@@ -63,17 +63,11 @@ class Matrix {
   /// Copy of column j.
   Vector col(index_t j) const;
 
-  /// Copy of row i (as a column vector of the row entries).
-  Vector row(index_t i) const;
-
   void set_col(index_t j, const Vector& v);
 
   /// True when ‖A − Aᴴ‖_max ≤ tol (requires square).
   bool is_hermitian(real tol = 1e-10) const;
 
-  static Matrix zeros(index_t rows, index_t cols) {
-    return Matrix(rows, cols);
-  }
   static Matrix identity(index_t n);
 
   /// Diagonal matrix from the given entries.

@@ -37,12 +37,6 @@ Vector& Vector::operator/=(cx scalar) {
   return *this;
 }
 
-Vector Vector::conjugate() const {
-  Vector out(size());
-  for (index_t i = 0; i < size(); ++i) out[i] = std::conj(data_[i]);
-  return out;
-}
-
 real Vector::norm() const { return std::sqrt(squared_norm()); }
 
 real Vector::squared_norm() const {
@@ -56,12 +50,6 @@ Vector Vector::normalized() const {
   MMW_REQUIRE_MSG(n > 0.0, "cannot normalize the zero vector");
   Vector out = *this;
   out /= cx{n, 0.0};
-  return out;
-}
-
-Vector Vector::ones(index_t n) {
-  Vector out(n);
-  for (auto& v : out) v = cx{1.0, 0.0};
   return out;
 }
 

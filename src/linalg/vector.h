@@ -50,9 +50,6 @@ class Vector {
   Vector& operator*=(cx scalar);
   Vector& operator/=(cx scalar);
 
-  /// Element-wise conjugate.
-  Vector conjugate() const;
-
   /// Euclidean norm ‖v‖₂.
   real norm() const;
 
@@ -61,12 +58,6 @@ class Vector {
 
   /// Returns v / ‖v‖₂. Precondition: ‖v‖₂ > 0.
   Vector normalized() const;
-
-  /// All-zeros vector.
-  static Vector zeros(index_t n) { return Vector(n); }
-
-  /// All-ones vector.
-  static Vector ones(index_t n);
 
   /// Standard basis vector e_i of dimension n.
   static Vector basis(index_t n, index_t i);

@@ -8,13 +8,17 @@
 
 namespace mmw::mac {
 
-/// Durations of the MAC primitives involved in beam training. Defaults are
-/// representative of 802.15.3c/5G-NR-style numerology (microseconds).
+/// Durations of the MAC primitives involved in beam training, representative
+/// of 802.15.3c/5G-NR-style numerology (microseconds).
 struct ProtocolTiming {
-  real measurement_slot_us = 10.0;  ///< one beam-pair sounding + matched filter
-  real beam_switch_us = 0.5;        ///< analog phase-shifter retune
-  real feedback_slot_us = 25.0;     ///< RX→TX report at the end of a TX-slot
-  real estimation_us = 50.0;        ///< covariance-estimate compute budget
+  /// One beam-pair sounding + matched filter.
+  static constexpr real measurement_slot_us = 10.0;
+  /// Analog phase-shifter retune.
+  static constexpr real beam_switch_us = 0.5;
+  /// RX→TX report at the end of a TX-slot.
+  static constexpr real feedback_slot_us = 25.0;
+  /// Covariance-estimate compute budget.
+  static constexpr real estimation_us = 50.0;
 
   /// Air time to take `measurements` measurements organized into
   /// `tx_slots` TX-slots (one feedback + one estimation per TX-slot, one

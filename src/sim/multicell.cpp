@@ -112,12 +112,6 @@ MultiCellResult run_multicell(
     const std::vector<const core::AlignmentStrategy*>& strategies) {
   MMW_REQUIRE(!strategies.empty());
   MMW_REQUIRE(config.scenario.trials >= 1);
-  MMW_REQUIRE_MSG(config.search_rate > 0.0 &&
-                      config.search_rate <= config.budget_rate &&
-                      config.budget_rate <= 1.0,
-                  "need 0 < search_rate <= budget_rate <= 1");
-  MMW_REQUIRE_MSG(config.interference_scale >= 0.0,
-                  "interference scale must be non-negative");
 
   const Scenario& sc = config.scenario;
   const Topology topo = Topology::build(config.topology);

@@ -43,21 +43,20 @@ struct MultiCellConfig {
   Scenario scenario;
 
   /// Grading point: the search rate (fraction of T = |U|·|V|) whose prefix
-  /// loss is reported per session. Must be in (0, budget_rate].
-  real search_rate = 0.10;
+  /// loss is reported per session. In (0, budget_rate].
+  static constexpr real search_rate = 0.10;
 
   /// Training budget as a fraction of T (the trajectory is graded at
   /// search_rate and scanned for target_loss_db up to this rate). Sessions
   /// that never reach the target within the budget are charged the full
   /// 100% rate, as in run_cost_efficiency.
-  real budget_rate = 0.35;
+  static constexpr real budget_rate = 0.35;
 
   /// Loss target (dB) of the required-search-rate metric.
-  real target_loss_db = 3.0;
+  static constexpr real target_loss_db = 3.0;
 
-  /// Global interference-to-signal knob multiplying every coupling; 0
-  /// disables interference entirely (isolated-cells baseline).
-  real interference_scale = 1.0;
+  /// Interference-to-signal factor multiplying every coupling.
+  static constexpr real interference_scale = 1.0;
 };
 
 /// Pooled result over every (cell, user, trial) session, per strategy.

@@ -22,21 +22,20 @@ struct RunOutcome {
 }  // namespace
 
 std::vector<FaultCaseResult> run_fault_robustness(
-    const RobustnessConfig& config,
+    const Scenario& sc,
     const std::vector<const core::AlignmentStrategy*>& strategies,
     const std::vector<FaultCase>& cases) {
   MMW_REQUIRE(!strategies.empty());
   MMW_REQUIRE(!cases.empty());
-  MMW_REQUIRE(config.scenario.trials >= 1);
-
-  const Scenario& sc = config.scenario;
+  MMW_REQUIRE(sc.trials >= 1);
 
   obs::TraceScope span("sim.run_fault_robustness", "sim");
   span.arg("trials", static_cast<double>(sc.trials));
   span.arg("strategies", static_cast<double>(strategies.size()));
   span.arg("cases", static_cast<double>(cases.size()));
 
-  const index_t budget = rate_to_budget(config.budget_rate, sc.total_pairs());
+  const index_t budget =
+      rate_to_budget(kRobustnessBudgetRate, sc.total_pairs());
 
   std::vector<FaultCaseResult> results;
   results.reserve(cases.size());

@@ -29,16 +29,8 @@ struct FaultCase {
   fault::FaultConfig faults;
 };
 
-/// Configuration of one robustness run. scenario.faults is ignored — each
-/// FaultCase supplies its own; everything else (channel, arrays, gamma,
-/// seed, trials, threads) comes from the scenario. Every run is verified
-/// and re-aligned with mac::Session's default RealignmentPolicy.
-struct RobustnessConfig {
-  Scenario scenario;
-
-  /// Training budget as a fraction of T = |U|·|V|.
-  real budget_rate = 0.10;
-};
+/// Training budget of every robustness run as a fraction of T = |U|·|V|.
+inline constexpr real kRobustnessBudgetRate = 0.10;
 
 /// A (trial, strategy) run counts as an alignment failure when the true
 /// loss of its final pair exceeds this threshold (dB).
@@ -64,10 +56,13 @@ struct FaultCaseResult {
   std::map<std::string, StrategyRobustness> by_strategy;
 };
 
-/// Runs the full strategy × fault-case matrix. Strategies must be
+/// Runs the full strategy × fault-case matrix. scenario.faults is ignored —
+/// each FaultCase supplies its own; everything else (channel, arrays, gamma,
+/// seed, trials, threads) comes from the scenario. Every run is verified
+/// and re-aligned with mac::Session's RealignmentPolicy. Strategies must be
 /// const-callable from multiple threads (core::AlignmentStrategy contract).
 std::vector<FaultCaseResult> run_fault_robustness(
-    const RobustnessConfig& config,
+    const Scenario& sc,
     const std::vector<const core::AlignmentStrategy*>& strategies,
     const std::vector<FaultCase>& cases);
 

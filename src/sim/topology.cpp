@@ -34,41 +34,16 @@ std::vector<CellSite> hex_sites(index_t cells, real isd) {
   return sites;
 }
 
-/// Square sites row-major over the smallest near-square box, centered so a
-/// single cell sits at the origin.
-std::vector<CellSite> square_sites(index_t cells, real isd) {
-  const index_t side =
-      static_cast<index_t>(std::ceil(std::sqrt(static_cast<real>(cells))));
-  const real offset = 0.5 * static_cast<real>(side - 1);
-  std::vector<CellSite> sites;
-  sites.reserve(cells);
-  for (index_t row = 0; row < side && sites.size() < cells; ++row)
-    for (index_t col = 0; col < side && sites.size() < cells; ++col)
-      sites.push_back({isd * (static_cast<real>(col) - offset),
-                       isd * (static_cast<real>(row) - offset)});
-  return sites;
-}
-
 }  // namespace
 
 Topology Topology::build(const TopologyConfig& config) {
   MMW_REQUIRE_MSG(config.cells >= 1, "topology needs at least one cell");
   MMW_REQUIRE_MSG(config.users_per_cell >= 1,
                   "topology needs at least one user per cell");
-  MMW_REQUIRE_MSG(
-      config.min_distance_m > 0.0 &&
-          config.min_distance_m < config.cell_radius_m,
-      "need 0 < min_distance_m < cell_radius_m");
-  MMW_REQUIRE_MSG(config.pathloss_exponent >= 0.0,
-                  "pathloss exponent must be non-negative");
-
-  const real isd = config.kind == TopologyKind::kHexagonal
-                       ? std::sqrt(3.0) * config.cell_radius_m
-                       : 2.0 * config.cell_radius_m;
-  std::vector<CellSite> sites = config.kind == TopologyKind::kHexagonal
-                                    ? hex_sites(config.cells, isd)
-                                    : square_sites(config.cells, isd);
-  return Topology(config, std::move(sites));
+  MMW_REQUIRE_MSG(config.cell_radius_m > config.min_distance_m,
+                  "need cell_radius_m > min_distance_m");
+  const real isd = std::sqrt(3.0) * config.cell_radius_m;
+  return Topology(config, hex_sites(config.cells, isd));
 }
 
 const CellSite& Topology::site(index_t cell) const {

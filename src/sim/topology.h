@@ -1,7 +1,6 @@
-// Cell-site geometry for the sharded multi-cell engine: hexagonal and
-// square-grid base-station layouts, deterministic per-user placement, and
-// the power-law pathloss coupling between an interfering BS and a victim
-// user.
+// Cell-site geometry for the sharded multi-cell engine: the hexagonal
+// base-station layout, deterministic per-user placement, and the power-law
+// pathloss coupling between an interfering BS and a victim user.
 //
 // Thread-safety: Topology is immutable after build() — all queries are
 // const and safe to share across shards. place_user() draws only from the
@@ -16,34 +15,24 @@
 
 namespace mmw::sim {
 
-/// Base-station layout of the multi-cell deployment.
-enum class TopologyKind {
-  /// Hexagonal lattice filled in spiral ring order from the center site
-  /// (ring k holds 6k sites), the classic cellular tessellation. Inter-site
-  /// distance is √3 · cell_radius.
-  kHexagonal,
-  /// Square lattice filled row-major over the smallest near-square box,
-  /// centered on the origin. Inter-site distance is 2 · cell_radius.
-  kSquareGrid,
-};
-
-/// Deployment knobs. Defaults give the textbook 7-site hex cluster
-/// (one center cell plus its first interference ring).
+/// Deployment knobs. Sites sit on a hexagonal lattice filled in spiral ring
+/// order from the center site (ring k holds 6k sites), the classic cellular
+/// tessellation. Defaults give the textbook 7-site hex cluster (one center
+/// cell plus its first interference ring).
 struct TopologyConfig {
-  TopologyKind kind = TopologyKind::kHexagonal;
   index_t cells = 7;
   index_t users_per_cell = 1;
 
-  /// Maximum BS-to-user drop distance (meters); also sets the inter-site
-  /// distance through the lattice constant of `kind`.
+  /// Maximum BS-to-user drop distance (meters); the inter-site distance is
+  /// √3 · cell_radius_m.
   real cell_radius_m = 100.0;
 
   /// Pathloss exponent of the coupling law (urban mmWave macro ≈ 3).
-  real pathloss_exponent = 3.0;
+  static constexpr real pathloss_exponent = 3.0;
 
   /// Users never drop closer to their BS than this, and no interferer
   /// distance is evaluated below it (keeps the power law finite).
-  real min_distance_m = 10.0;
+  static constexpr real min_distance_m = 10.0;
 };
 
 /// One base-station site (meters, deployment plane).
@@ -62,9 +51,9 @@ struct UserPlacement {
 /// law. Built once per run and shared read-only by every shard.
 class Topology {
  public:
-  /// Lays out `config.cells` sites of the requested lattice.
+  /// Lays out `config.cells` sites of the hex lattice.
   /// Preconditions: cells ≥ 1, users_per_cell ≥ 1,
-  /// 0 < min_distance_m < cell_radius_m, pathloss_exponent ≥ 0.
+  /// cell_radius_m > min_distance_m.
   static Topology build(const TopologyConfig& config);
 
   const TopologyConfig& config() const { return config_; }

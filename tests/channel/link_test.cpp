@@ -146,28 +146,6 @@ TEST(LinkTest, ShapeMismatchesThrow) {
                precondition_error);
 }
 
-TEST(SampleComplexGaussianTest, MatchesCovariance) {
-  Rng rng(10);
-  // Low-rank PSD covariance.
-  const Vector x = rng.random_unit_vector(6);
-  const Matrix q = Matrix::outer(x, x) * cx{4.0, 0.0} +
-                   Matrix::identity(6) * cx{0.5, 0.0};
-  Matrix acc(6, 6);
-  const int trials = 4000;
-  for (int t = 0; t < trials; ++t) {
-    const Vector s = sample_complex_gaussian(q, rng);
-    acc += Matrix::outer(s, s);
-  }
-  acc /= cx{static_cast<real>(trials), 0.0};
-  EXPECT_LT((acc - q).frobenius_norm() / q.frobenius_norm(), 0.15);
-}
-
-TEST(SampleComplexGaussianTest, RequiresSquare) {
-  Rng rng(11);
-  EXPECT_THROW(sample_complex_gaussian(Matrix(2, 3), rng),
-               precondition_error);
-}
-
 // The allocation-free variant must be a drop-in for the returning one:
 // identical draws (bit-exact) from identical RNG state, identical RNG
 // consumption, and full overwrite of whatever the reused buffer held.

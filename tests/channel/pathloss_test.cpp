@@ -9,26 +9,6 @@ namespace {
 
 using randgen::Rng;
 
-TEST(FriisTest, KnownValue) {
-  // FSPL at 28 GHz, 100 m: 20·log10(4π·100·28e9/c) ≈ 101.4 dB.
-  EXPECT_NEAR(friis_path_loss_db(28.0, 100.0), 101.4, 0.2);
-}
-
-TEST(FriisTest, SixDbPerDistanceDoubling) {
-  const real a = friis_path_loss_db(28.0, 50.0);
-  const real b = friis_path_loss_db(28.0, 100.0);
-  EXPECT_NEAR(b - a, 6.02, 0.01);
-}
-
-TEST(FriisTest, GrowsWithFrequency) {
-  EXPECT_GT(friis_path_loss_db(73.0, 100.0), friis_path_loss_db(28.0, 100.0));
-}
-
-TEST(FriisTest, InvalidInputsThrow) {
-  EXPECT_THROW(friis_path_loss_db(0.0, 10.0), precondition_error);
-  EXPECT_THROW(friis_path_loss_db(28.0, 0.0), precondition_error);
-}
-
 TEST(NycPathLossTest, NlosExceedsLosOnAverage) {
   Rng rng(1);
   const auto p = NycPathLossParams::nyc_28ghz();
@@ -57,15 +37,6 @@ TEST(NycPathLossTest, OutageIsInfinite) {
   const auto p = NycPathLossParams::nyc_28ghz();
   EXPECT_TRUE(std::isinf(
       nyc_path_loss_db(p, LinkState::kOutage, 100.0, rng)));
-}
-
-TEST(NycPathLossTest, SeventyThreeGhzLossesAreHigher) {
-  Rng a(4), b(4);
-  const real l28 = nyc_path_loss_db(NycPathLossParams::nyc_28ghz(),
-                                    LinkState::kLos, 80.0, a);
-  const real l73 = nyc_path_loss_db(NycPathLossParams::nyc_73ghz(),
-                                    LinkState::kLos, 80.0, b);
-  EXPECT_GT(l73, l28);
 }
 
 TEST(LinkStateTest, ShortLinksAreMostlyLos) {

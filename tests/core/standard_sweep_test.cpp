@@ -120,29 +120,19 @@ TEST(StandardSweepTest, ConfigValidation) {
   Fixture f;
   Rng rng(8);
   const auto link = channel::make_single_path_link(f.tx, f.rx, rng, f.sector);
+  StandardSweepConfig cfg;
+  // A 3×4 TX grid does not split into the 2×2 sectors (3 % 2 != 0).
+  const Codebook odd_tx =
+      Codebook::angular_grid(f.tx, 3, 4, f.sector.az_min, f.sector.az_max,
+                             f.sector.el_min, f.sector.el_max);
+  EXPECT_THROW(
+      run_standard_sweep(link, f.tx, f.rx, odd_tx, f.rx_cb, cfg, rng),
+      precondition_error);
   StandardSweepConfig bad;
-  bad.tx_sectors_x = 3;  // 4 % 3 != 0
+  bad.gamma = 0.0;
   EXPECT_THROW(
       run_standard_sweep(link, f.tx, f.rx, f.tx_cb, f.rx_cb, bad, rng),
       precondition_error);
-  StandardSweepConfig bad2;
-  bad2.gamma = 0.0;
-  EXPECT_THROW(
-      run_standard_sweep(link, f.tx, f.rx, f.tx_cb, f.rx_cb, bad2, rng),
-      precondition_error);
-}
-
-TEST(StandardSweepTest, FinerSectorsSpendMoreOnStageOne) {
-  Fixture f;
-  Rng rng(9);
-  const auto link = channel::make_single_path_link(f.tx, f.rx, rng, f.sector);
-  StandardSweepConfig fine;
-  fine.rx_sectors_x = 4;
-  fine.rx_sectors_y = 4;
-  const auto res = run_standard_sweep(link, f.tx, f.rx, f.tx_cb, f.rx_cb,
-                                      fine, rng);
-  EXPECT_EQ(res.sector_measurements, 4u * 16u);
-  EXPECT_EQ(res.beam_measurements, 4u * 4u);
 }
 
 }  // namespace

@@ -189,12 +189,6 @@ TEST(ProposedTest, BeatsRandomOnAverage) {
   EXPECT_LT(proposed_loss, random_loss);
 }
 
-TEST(HierarchicalTest, StrideValidation) {
-  HierarchicalOptions bad;
-  bad.stride = 0;
-  EXPECT_THROW(HierarchicalSearch{bad}, precondition_error);
-}
-
 TEST(HierarchicalTest, SpendsBudgetWithoutDuplicates) {
   Fixture f;
   Session s = f.session(40);
@@ -205,10 +199,8 @@ TEST(HierarchicalTest, SpendsBudgetWithoutDuplicates) {
 
 TEST(HierarchicalTest, CoarseStageComesFirst) {
   Fixture f;
-  HierarchicalOptions opts;
-  opts.stride = 2;
   Session s = f.session(64);
-  HierarchicalSearch(opts).run(s);
+  HierarchicalSearch().run(s);
   // First measurements enumerate the strided subgrid: 1×1 TX coarse points
   // (grid 2×2, stride 2 → 1 point) × 2×2 RX coarse points = 4 pairs.
   const auto& recs = s.records();

@@ -108,8 +108,6 @@ TEST(FaultPlanTest, ScheduleIndependentOfOtherFaultToggles) {
 TEST(FaultPlanTest, BlockageOnsetWithinBudgetAndScalesValid) {
   FaultConfig config;
   config.blockage_probability = 1.0;
-  config.blockage_attenuation_db = 20.0;
-  config.blockage_path_probability = 0.5;
   for (std::uint64_t t = 0; t < 20; ++t) {
     randgen::Rng rng = fault_stream(5, 0, t);
     const FaultPlan plan = FaultPlan::draw(config, 40, 5, rng);
@@ -143,12 +141,10 @@ TEST(FaultPlanTest, ZeroProbabilitiesDrawCleanSchedule) {
 TEST(FaultPlanTest, OutlierScaleRespectsPareto) {
   FaultConfig config;
   config.outlier_probability = 1.0;
-  config.outlier_shape = 2.0;
-  config.outlier_scale = 10.0;
   randgen::Rng rng = fault_stream(11, 0, 0);
   const FaultPlan plan = FaultPlan::draw(config, 200, 1, rng);
   for (index_t i = 0; i < 200; ++i)
-    EXPECT_GE(plan.slot(i).energy_scale, 10.0) << i;  // Pareto minimum
+    EXPECT_GE(plan.slot(i).energy_scale, config.outlier_scale) << i;
 }
 
 TEST(FaultPlanTest, DrawValidatesProbabilities) {

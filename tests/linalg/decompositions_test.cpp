@@ -60,40 +60,10 @@ TEST(CholeskyTest, NonHermitianRejected) {
   EXPECT_THROW(cholesky(m), precondition_error);
 }
 
-TEST(LuTest, SolveRecoversKnownSolution) {
-  Rng rng(8);
-  Matrix a = rng.complex_gaussian_matrix(7, 7);
-  Vector x_true = rng.complex_gaussian_vector(7);
-  Vector b = a * x_true;
-  Vector x = solve(a, b);
-  EXPECT_TRUE(approx_equal(x, x_true, 1e-8 * x_true.norm()));
-}
-
-TEST(LuTest, SolveSingularThrows) {
-  Matrix a(2, 2);
-  a(0, 0) = cx{1, 0};
-  a(0, 1) = cx{2, 0};
-  a(1, 0) = cx{2, 0};
-  a(1, 1) = cx{4, 0};
-  EXPECT_THROW(solve(a, Vector{cx{1, 0}, cx{1, 0}}), precondition_error);
-}
-
-TEST(LuTest, SolveShapeMismatchThrows) {
-  EXPECT_THROW(solve(Matrix::identity(3), Vector(2)), precondition_error);
-}
-
 TEST(LuTest, DecomposeMarksSingular) {
   Matrix a(3, 3);  // zero matrix
   EXPECT_TRUE(lu_decompose(a).singular);
   EXPECT_FALSE(lu_decompose(Matrix::identity(3)).singular);
-}
-
-TEST(LuTest, InverseTimesOriginalIsIdentity) {
-  Rng rng(9);
-  Matrix a = rng.complex_gaussian_matrix(6, 6);
-  Matrix inv = inverse(a);
-  EXPECT_TRUE(approx_equal(a * inv, Matrix::identity(6), 1e-8));
-  EXPECT_TRUE(approx_equal(inv * a, Matrix::identity(6), 1e-8));
 }
 
 TEST(LuTest, DeterminantOfDiagonal) {

@@ -99,21 +99,11 @@ TEST(VectorTest, NormalizeZeroVectorThrows) {
   EXPECT_THROW(v.normalized(), precondition_error);
 }
 
-TEST(VectorTest, ConjugateFlipsImaginary) {
-  Vector v{cx{1, 2}};
-  EXPECT_EQ(v.conjugate()[0], (cx{1, -2}));
-}
-
 TEST(VectorTest, BasisVector) {
   Vector e = Vector::basis(4, 2);
   EXPECT_EQ(e[2], (cx{1, 0}));
   EXPECT_NEAR(e.norm(), 1.0, 1e-15);
   EXPECT_THROW(Vector::basis(3, 3), precondition_error);
-}
-
-TEST(VectorTest, OnesVector) {
-  Vector o = Vector::ones(3);
-  EXPECT_NEAR(o.squared_norm(), 3.0, 1e-15);
 }
 
 TEST(VectorTest, ApproxEqual) {

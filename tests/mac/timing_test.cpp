@@ -14,12 +14,8 @@ TEST(TimingTest, ZeroMeasurementsIsFree) {
 
 TEST(TimingTest, LatencyFormula) {
   ProtocolTiming t;
-  t.measurement_slot_us = 10.0;
-  t.beam_switch_us = 1.0;
-  t.feedback_slot_us = 20.0;
-  t.estimation_us = 30.0;
-  // 16 measurements in 2 slots: 16·11 + 2·50 = 276 µs.
-  EXPECT_DOUBLE_EQ(t.alignment_latency_us(16, 2), 276.0);
+  // 16 measurements in 2 slots: 16·(10 + 0.5) + 2·(25 + 50) = 318 µs.
+  EXPECT_DOUBLE_EQ(t.alignment_latency_us(16, 2), 318.0);
 }
 
 TEST(TimingTest, LatencyValidation) {
@@ -39,12 +35,9 @@ TEST(TimingTest, OverheadFractionClamped) {
 
 TEST(TimingTest, NetSpectralEfficiency) {
   ProtocolTiming t;
-  t.measurement_slot_us = 10.0;
-  t.beam_switch_us = 0.0;
-  t.feedback_slot_us = 0.0;
-  t.estimation_us = 0.0;
-  // 100 measurements = 1000 µs in a 10000 µs frame → 10% overhead.
-  const real eff = t.net_spectral_efficiency(100, 10, 10000.0, 3.0);
+  // 100 measurements in 10 slots = 100·10.5 + 10·75 = 1800 µs in an
+  // 18000 µs frame → 10% overhead.
+  const real eff = t.net_spectral_efficiency(100, 10, 18000.0, 3.0);
   EXPECT_NEAR(eff, 0.9 * 2.0, 1e-12);  // log2(4) = 2
   EXPECT_THROW(t.net_spectral_efficiency(1, 1, 100.0, -1.0),
                precondition_error);

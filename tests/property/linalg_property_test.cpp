@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <vector>
 
 #include "../linalg/planted_spectrum.h"
 #include "linalg/decompositions.h"
@@ -175,27 +176,41 @@ INSTANTIATE_TEST_SUITE_P(Sizes, CholeskyProperty,
                                            SizeSeed{5, 13}, SizeSeed{16, 14},
                                            SizeSeed{64, 15}));
 
-// ----------------------------------------------------------- solve --------
+// ----------------------------------------------------- determinant -------
 
-class SolveProperty : public ::testing::TestWithParam<SizeSeed> {};
+class DeterminantProperty : public ::testing::TestWithParam<SizeSeed> {};
 
-TEST_P(SolveProperty, ResidualIsSmall) {
+// Hermitian input with a planted spectrum of mixed signs: the determinant
+// is exactly the product of the planted eigenvalues.
+TEST_P(DeterminantProperty, HermitianIsProductOfPlantedSpectrum) {
   const auto [n, seed] = GetParam();
   Rng rng(seed);
-  const Matrix a = rng.complex_gaussian_matrix(n, n);
-  const Vector b = rng.complex_gaussian_vector(n);
-  const Vector x = solve(a, b);
-  EXPECT_LT((a * x - b).norm(), 1e-8 * (1.0 + b.norm()) * n);
+  std::vector<real> eigs(n);
+  real expected = 1.0;
+  for (real& e : eigs) {
+    e = rng.uniform(0.5, 2.0) * (rng.uniform() < 0.5 ? -1.0 : 1.0);
+    expected *= e;
+  }
+  const cx det = determinant(hermitian_with_spectrum(rng, eigs));
+  const real tol = 1e-9 * n * std::abs(expected);
+  EXPECT_NEAR(det.real(), expected, tol);
+  EXPECT_NEAR(det.imag(), 0.0, tol);
 }
 
-TEST_P(SolveProperty, InverseRoundTrip) {
+// det(AB) = det(A)·det(B) on random complex A and B, whose LUs swap rows at
+// these sizes. The planted-spectrum case above pins each swap's sign.
+TEST_P(DeterminantProperty, MultiplicativeOnRandomComplexMatrices) {
   const auto [n, seed] = GetParam();
   Rng rng(seed + 100);
   const Matrix a = rng.complex_gaussian_matrix(n, n);
-  EXPECT_TRUE(approx_equal(a * inverse(a), Matrix::identity(n), 1e-7 * n));
+  const Matrix b = rng.complex_gaussian_matrix(n, n);
+  const cx expected = determinant(a) * determinant(b);
+  ASSERT_GT(std::abs(expected), 0.0);
+  EXPECT_LT(std::abs(determinant(a * b) - expected),
+            1e-8 * n * std::abs(expected));
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, SolveProperty,
+INSTANTIATE_TEST_SUITE_P(Sizes, DeterminantProperty,
                          ::testing::Values(SizeSeed{1, 21}, SizeSeed{2, 22},
                                            SizeSeed{7, 23}, SizeSeed{16, 24},
                                            SizeSeed{33, 25}));

@@ -44,8 +44,6 @@ TEST(GoldenExtensions, E7MulticellTinyTrialsPinned) {
   MultiCellConfig cfg;
   cfg.scenario = tiny_scenario();
   cfg.topology.cells = 3;
-  cfg.search_rate = 0.10;
-  cfg.budget_rate = 0.35;
   const MultiCellResult r = run_multicell(cfg, {&exhaustive, &proposed});
 
   EXPECT_EQ(r.cells, 3u);
@@ -63,15 +61,13 @@ TEST(GoldenExtensions, E7MulticellTinyTrialsPinned) {
 TEST(GoldenExtensions, E8RobustnessTinyTrialsPinned) {
   core::ExhaustiveSearch exhaustive;
   core::ProposedAlignment proposed;
-  RobustnessConfig cfg;
-  cfg.scenario = tiny_scenario();
   FaultCase clean{"clean", {}};
   clean.faults.quarantine_trials = true;
   FaultCase blockage{"blockage", {}};
   blockage.faults.blockage_probability = 1.0;
   blockage.faults.quarantine_trials = true;
   const std::vector<FaultCaseResult> rs = run_fault_robustness(
-      cfg, {&exhaustive, &proposed}, {clean, blockage});
+      tiny_scenario(), {&exhaustive, &proposed}, {clean, blockage});
 
   ASSERT_EQ(rs.size(), 2u);
   const FaultCaseResult& c = rs[0];

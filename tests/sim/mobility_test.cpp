@@ -15,7 +15,6 @@ namespace {
 
 TopologyConfig hex7() {
   TopologyConfig cfg;
-  cfg.kind = TopologyKind::kHexagonal;
   cfg.cells = 7;
   cfg.cell_radius_m = 100.0;
   return cfg;

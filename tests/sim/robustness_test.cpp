@@ -214,16 +214,13 @@ TEST(RobustnessMatrixTest, CsvByteIdenticalAcrossThreadCounts) {
   cases[1].faults.drop_probability = 0.2;
   cases[2].name = "blockage";
   cases[2].faults.blockage_probability = 1.0;
-  cases[2].faults.blockage_attenuation_db = 25.0;
 
   auto run = [&](index_t threads,
                  const std::vector<const core::AlignmentStrategy*>& runs,
                  const std::vector<FaultCase>& matrix) {
-    RobustnessConfig config;
-    config.scenario = tiny_scenario(threads);
-    config.scenario.trials = 6;
-    config.budget_rate = 0.25;
-    return run_fault_robustness(config, runs, matrix);
+    Scenario sc = tiny_scenario(threads);
+    sc.trials = 6;
+    return run_fault_robustness(sc, runs, matrix);
   };
   const auto serial = run(1, strategies, cases);
   ASSERT_EQ(serial.size(), 3u);
