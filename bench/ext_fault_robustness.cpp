@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
 
   bench::BenchRun run("ext_fault_robustness", argc, argv);
   Scenario sc = bench::paper_scenario(ChannelKind::kNycMultipath, 15);
-  sc.trials = bench::flag_u64(argc, argv, "--trials", sc.trials);
-  if (sc.trials == 0) bench::usage_error("--trials must be positive");
+  sc.trials = bench::flag_u64(argc, argv, "--trials", sc.trials, 1);
   sc.threads = bench::threads_from_cli(argc, argv);
   run.add_scenario(sc);
   bench::print_header("Extension E8",

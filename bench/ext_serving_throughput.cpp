@@ -92,8 +92,17 @@ int main(int argc, char** argv) {
   const double arrival_override =
       bench::flag_real(argc, argv, "--arrival-rate", -1.0);
   const double sojourn = bench::flag_real(argc, argv, "--sojourn", 100.0);
+  if (sojourn < 0.0) bench::usage_error("--sojourn must be non-negative");
   const std::uint64_t single = bench::flag_u64(argc, argv, "--sessions", 0);
   const char* telemetry = bench::flag_option(argc, argv, "--telemetry");
+  // One alignment slot per TX beam by default: the deterministic TX sweep
+  // covers the whole M=4 codebook before a session claims its pair. The
+  // bounds are ServingEngine's (the slot counter is a u8).
+  const std::uint64_t align_epochs = bench::flag_u64(
+      argc, argv, "--align-epochs", sc.tx_grid_x * sc.tx_grid_y, 1, 0xff);
+  const std::uint64_t probes = bench::flag_u64(argc, argv, "--probes", 8, 1);
+  const std::uint64_t track_fades =
+      bench::flag_u64(argc, argv, "--track-fades", 4, 1);
 
   std::vector<index_t> scales;
   if (single > 0)
@@ -134,12 +143,9 @@ int main(int argc, char** argv) {
     cfg.arrival_rate =
         arrival_override >= 0.0 ? arrival_override : 0.01 * per_site;
     cfg.mean_sojourn_epochs = sojourn;
-    // One alignment slot per TX beam: the deterministic TX sweep covers
-    // the whole M=4 codebook before a session claims its pair.
-    cfg.align_epochs = bench::flag_u64(argc, argv, "--align-epochs",
-                                       sc.tx_grid_x * sc.tx_grid_y);
-    cfg.probes_per_slot = bench::flag_u64(argc, argv, "--probes", 8);
-    cfg.track_fades = bench::flag_u64(argc, argv, "--track-fades", 4);
+    cfg.align_epochs = align_epochs;
+    cfg.probes_per_slot = probes;
+    cfg.track_fades = track_fades;
     // One slab per site holds the initial cohort exactly at small scales
     // (less slab-quantization slack in bytes/session); clamped to the
     // default 4096 grain at city scale so shards stay balanced.

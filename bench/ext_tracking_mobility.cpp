@@ -64,12 +64,14 @@ int main(int argc, char** argv) {
   cfg.scenario = sc;
   cfg.topology.cells = 7;
   cfg.topology.cell_radius_m = 100.0;
+  // track::run_tracking's bounds: one user, one epoch, and a warm-up
+  // that leaves at least one steady epoch.
   cfg.users = static_cast<index_t>(
-      bench::flag_u64(argc, argv, "--users", tiny ? 4 : 24));
+      bench::flag_u64(argc, argv, "--users", tiny ? 4 : 24, 1));
   cfg.epochs = static_cast<index_t>(
-      bench::flag_u64(argc, argv, "--epochs", tiny ? 24 : 120));
-  cfg.warmup_epochs = static_cast<index_t>(
-      bench::flag_u64(argc, argv, "--warmup", tiny ? 8 : 40));
+      bench::flag_u64(argc, argv, "--epochs", tiny ? 24 : 120, 1));
+  cfg.warmup_epochs = static_cast<index_t>(bench::flag_u64(
+      argc, argv, "--warmup", tiny ? 8 : 40, 0, cfg.epochs - 1));
   cfg.mobility.epoch_seconds = 0.5;
   cfg.mobility.hysteresis_db = 3.0;
   cfg.evolution.drift_rad_per_meter = 0.004;

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -79,10 +80,24 @@ inline double parse_real(const char* what, const char* text) {
   return v;
 }
 
-inline std::uint64_t flag_u64(int argc, char** argv, const char* name,
-                              std::uint64_t fallback) {
+/// The value of `name`, or `fallback` when it is absent. A result outside
+/// [lo, hi] — the bounds the library will check — is a usage error, a
+/// fallback included (another flag may have narrowed the bounds).
+inline std::uint64_t flag_u64(
+    int argc, char** argv, const char* name, std::uint64_t fallback,
+    std::uint64_t lo = 0,
+    std::uint64_t hi = std::numeric_limits<std::uint64_t>::max()) {
   const char* v = flag_value(argc, argv, name);
-  return v == nullptr ? fallback : parse_u64(name, v);
+  const std::uint64_t x = v == nullptr ? fallback : parse_u64(name, v);
+  if (x < lo || x > hi)
+    usage_error(std::string(name) + " must be " +
+                (hi == std::numeric_limits<std::uint64_t>::max()
+                     ? "at least " + std::to_string(lo)
+                     : "in [" + std::to_string(lo) + ", " +
+                           std::to_string(hi) + "]") +
+                ", got " + std::to_string(x) +
+                (v == nullptr ? " (the default)" : ""));
+  return x;
 }
 
 inline double flag_real(int argc, char** argv, const char* name,
@@ -239,6 +254,8 @@ class BenchRun {
     const std::uint64_t em_nonconverged =
         counter("estimation.em.nonconverged");
     manifest_.add_health("estimation.ml.nonconverged", ml_nonconverged);
+    manifest_.add_health("estimation.ml.stalled",
+                         counter("estimation.ml.stalled"));
     manifest_.add_health("estimation.em.nonconverged", em_nonconverged);
     manifest_.add_health("estimation.fallback.em",
                          counter("estimation.fallback.em"));

@@ -7,6 +7,7 @@
 
 #include "antenna/codebook.h"
 #include "antenna/steering.h"
+#include "estimation/beamspace.h"
 #include "estimation/covariance_ml.h"
 #include "linalg/decompositions.h"
 #include "linalg/eig.h"
@@ -105,6 +106,42 @@ void BM_CovarianceMlEstimate(benchmark::State& state) {
     benchmark::DoNotOptimize(estimation::estimate_covariance_ml(64, ms, opts));
 }
 BENCHMARK(BM_CovarianceMlEstimate)->Arg(5)->Arg(10)->Arg(20);
+
+void BM_MlSolveWarm(benchmark::State& state) {
+  // The warm solve of serve_realign_ml's alignment slots: RX 4×4
+  // angular-grid codebook (N = 16), J = 8 probes of 4 fades each, γ = 1000,
+  // fold_warm_ml's options, warm-started from a resident beam-space
+  // estimate. The beam span reduces it to r = 8.
+  const auto cb = antenna::Codebook::angular_grid(
+      antenna::ArrayGeometry::upa(4, 4), 4, 4);
+  const std::vector<estimation::BeamComponent> resident{{5, 2.0}, {6, 0.5}};
+  const std::vector<estimation::BeamComponent> truth{{6, 2.5}, {10, 0.7}};
+  const linalg::FactoredHermitian prior =
+      estimation::expand_beam_space(resident, cb);
+  const linalg::FactoredHermitian q = estimation::expand_beam_space(truth, cb);
+  randgen::Rng rng(7);
+  std::vector<estimation::BeamMeasurement> ms;
+  for (index_t k = 0; k < 8; ++k) {
+    const Vector& v = cb.codeword(2 * k);
+    const real lambda = estimation::expected_energy(q, v, 1000.0);
+    real energy = 0.0;
+    for (int f = 0; f < 4; ++f) energy += rng.exponential(lambda);
+    ms.push_back({v, energy / 4.0});
+  }
+  estimation::CovarianceMlOptions opts;
+  opts.gamma = 1000.0;
+  opts.max_iterations = 40;
+  opts.tolerance = 1e-4;
+  int iterations = 0;
+  for (auto _ : state) {
+    const estimation::CovarianceMlResult r =
+        estimation::estimate_covariance_ml_warm(16, ms, opts, prior);
+    iterations = r.iterations;
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["solve_iterations"] = iterations;
+}
+BENCHMARK(BM_MlSolveWarm);
 
 // ---- Factored vs dense covariance plumbing ---------------------------------
 //

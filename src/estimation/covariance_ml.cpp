@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "linalg/eig.h"
 #include "linalg/functions.h"
@@ -16,32 +19,6 @@ using linalg::Vector;
 
 namespace {
 
-/// Euclidean gradient of the smooth part J(Q) = Σ log λ_j + w_j/λ_j:
-///   ∇J = Σ_j (λ_j − w_j)/λ_j² · v_j v_jᴴ   (Hermitian).
-Matrix gradient(const Matrix& q, std::span<const BeamMeasurement> ms,
-                real gamma) {
-  Matrix g(q.rows(), q.cols());
-  for (const BeamMeasurement& m : ms) {
-    const real lambda = expected_energy(q, m.beam, gamma);
-    const real coeff = (lambda - m.energy) / (lambda * lambda);
-    g.add_scaled_outer(cx{coeff, 0.0}, m.beam, m.beam);
-  }
-  return g;
-}
-
-real inner_real(const Matrix& a, const Matrix& b) {
-  // Re tr(Aᴴ B) — the real inner product on Hermitian matrices.
-  real acc = 0.0;
-  for (index_t i = 0; i < a.rows(); ++i)
-    for (index_t j = 0; j < a.cols(); ++j)
-      acc += (std::conj(a(i, j)) * b(i, j)).real();
-  return acc;
-}
-
-}  // namespace
-
-namespace {
-
 /// Dense solver output before the factored wrap-up.
 struct SolveResult {
   Matrix q;
@@ -49,12 +26,14 @@ struct SolveResult {
   int iterations = 0;
   int backtracks = 0;  ///< rejected trial points across all iterations
   bool converged = false;
+  bool stalled = false;  ///< ended by the exhausted-backtracking exit
 };
 
 /// Telemetry handles for the proximal-gradient solver (DESIGN.md §8).
 struct MlMetrics {
   obs::Counter solves;
   obs::Counter nonconverged;
+  obs::Counter stalled;
   obs::Counter backtracks;
   obs::Histogram iterations;
   obs::Histogram recovered_rank;
@@ -62,6 +41,7 @@ struct MlMetrics {
     static const MlMetrics m{
         obs::Registry::global().counter("estimation.ml.solves"),
         obs::Registry::global().counter("estimation.ml.nonconverged"),
+        obs::Registry::global().counter("estimation.ml.stalled"),
         obs::Registry::global().counter("estimation.ml.backtracks"),
         obs::Registry::global().histogram(
             "estimation.ml.iterations",
@@ -105,19 +85,83 @@ index_t recovered_rank(const FactoredHermitian& q) {
 }
 
 /// Records the per-solve metrics shared by both wrapper entry points.
-/// Satellite fix: non-converged solves used to vanish silently; they are now
-/// counted (estimation.ml.nonconverged) and surface in run manifests. Beam
-/// selection is unchanged — the estimate is still used as-is.
+/// Non-converged and stalled solves are counted (estimation.ml.nonconverged,
+/// estimation.ml.stalled) and surface in run manifests. Beam selection is
+/// unchanged — the estimate is still used as-is.
 void record_ml_solve(const SolveResult& solve,
                      const CovarianceMlResult& result) {
   if (!obs::enabled()) return;
   const MlMetrics& m = MlMetrics::get();
   m.solves.add();
   if (!solve.converged) m.nonconverged.add();
+  if (solve.stalled) m.stalled.add();
   if (solve.backtracks > 0)
     m.backtracks.add(static_cast<std::uint64_t>(solve.backtracks));
   m.iterations.record(static_cast<real>(solve.iterations));
   m.recovered_rank.record(static_cast<real>(recovered_rank(result.q)));
+}
+
+/// Re tr(Aᴴ B) — the real inner product on Hermitian matrices.
+real inner_real(const Matrix& a, const Matrix& b) {
+  const std::span<const cx> x = a.data();
+  const std::span<const cx> y = b.data();
+  real acc = 0.0;
+  for (index_t i = 0; i < x.size(); ++i)
+    acc += (std::conj(x[i]) * y[i]).real();
+  return acc;
+}
+
+/// The calling thread's storage for solve_full, sized to the n×n problem
+/// and its J measurements by `prepare` at the start of every solve. It
+/// grows to the largest problem the thread solves and is never shrunk, so
+/// the iterations allocate nothing. Every buffer is written in full before
+/// it is read within a solve, so a solve that throws (the degradation
+/// ladder catches it) leaves nothing a later solve reads.
+struct SolveWorkspace {
+  Matrix q;      ///< current iterate
+  Matrix grad;   ///< ∇J at q
+  Matrix arg;    ///< q − step·∇J, the prox argument
+  Matrix trial;  ///< prox of arg, the trial point
+  Matrix delta;  ///< trial − q
+  std::vector<cx> outer;     ///< v_j v_jᴴ, J row-major n×n blocks
+  std::vector<real> noise;   ///< ‖v_j‖²/γ
+  std::vector<real> lambda;  ///< λ_j at q
+  std::vector<real> trial_lambda;  ///< λ_j at trial
+  linalg::EigWorkspace eig;
+
+  void prepare(index_t n, std::span<const BeamMeasurement> ms, real gamma) {
+    for (Matrix* m : {&grad, &arg, &trial, &delta}) m->reset(n, n);
+    outer.resize(ms.size() * n * n);
+    noise.resize(ms.size());
+    lambda.resize(ms.size());
+    trial_lambda.resize(ms.size());
+    cx* o = outer.data();
+    for (index_t j = 0; j < ms.size(); ++j) {
+      const Vector& v = ms[j].beam;
+      for (index_t a = 0; a < n; ++a)
+        for (index_t b = 0; b < n; ++b) *o++ = v[a] * std::conj(v[b]);
+      noise[j] = v.squared_norm() / gamma;
+    }
+  }
+
+  /// Euclidean gradient of the smooth part J(Q) = Σ log λ_j + w_j/λ_j at
+  /// q, from the λ_j its likelihood pass stored:
+  ///   ∇J = Σ_j (λ_j − w_j)/λ_j² · v_j v_jᴴ   (Hermitian).
+  void gradient(std::span<const BeamMeasurement> ms) {
+    const std::span<cx> g = grad.data();
+    std::fill(g.begin(), g.end(), cx{0.0, 0.0});
+    const cx* o = outer.data();
+    for (index_t j = 0; j < ms.size(); ++j, o += g.size()) {
+      const real coeff = (lambda[j] - ms[j].energy) / (lambda[j] * lambda[j]);
+      const cx alpha{coeff, 0.0};
+      for (index_t e = 0; e < g.size(); ++e) g[e] += o[e] * alpha;
+    }
+  }
+};
+
+SolveWorkspace& solve_workspace() {
+  thread_local SolveWorkspace ws;
+  return ws;
 }
 
 /// Core projected proximal-gradient loop on an n-dimensional problem.
@@ -128,9 +172,12 @@ void record_ml_solve(const SolveResult& solve,
 /// across step sizes would change the iterates (and the golden figure
 /// CSVs); one decomposition per trial point is the exact-arithmetic
 /// optimum. The smooth objective, however, IS cached: the accepted trial's
-/// likelihood is reused for both the convergence test and the next
-/// iteration's linearization point, saving two full likelihood passes per
-/// iteration at bit-identical results.
+/// likelihood (and its λ_j) is reused for both the convergence test and
+/// the next iteration's gradient, saving two full likelihood passes per
+/// iteration at bit-identical results. All of it runs in the calling
+/// thread's SolveWorkspace, with v_j v_jᴴ and ‖v_j‖²/γ formed once per
+/// solve; every quantity keeps its std::complex expression and summation
+/// order, which is what keeps Q̂ bit for bit (DESIGN.md §7b).
 /// `init`, when non-null, replaces the moment-based starting iterate (the
 /// warm-start entry point projects a prior estimate here); it must be an
 /// n×n Hermitian PSD matrix. Null reproduces the cold start bit-for-bit.
@@ -143,40 +190,49 @@ SolveResult solve_full(index_t n,
   span.arg("measurements", static_cast<double>(measurements.size()));
   const bool tracing = span.active();
 
+  SolveWorkspace& ws = solve_workspace();
+  ws.prepare(n, measurements, opts.gamma);
   // Moment-based warm start keeps the likelihood well-conditioned from the
   // first iteration (Q = 0 would put all mass on the noise floor).
-  Matrix q = init != nullptr
-                 ? *init
-                 : sample_covariance_estimate(n, measurements, opts.gamma);
+  if (init != nullptr)
+    ws.q = *init;
+  else
+    ws.q = sample_covariance_estimate(n, measurements, opts.gamma);
 
   SolveResult result;
   // Smooth part J(Q) at the current iterate; the penalized objective is
   // nll_cur + μ·tr(Q) (‖Q‖₁ = tr(Q) on the PSD cone).
-  real nll_cur = negative_log_likelihood(q, measurements, opts.gamma);
-  real f_prev = nll_cur + opts.mu * q.trace().real();
+  real nll_cur =
+      negative_log_likelihood(ws.q, measurements, ws.noise, ws.lambda);
+  real f_prev = nll_cur + opts.mu * ws.q.trace().real();
   real step = opts.initial_step;
   if (tracing)
     obs::TraceCollector::global().counter("estimation.ml.nll", nll_cur);
 
   for (int it = 0; it < opts.max_iterations; ++it) {
-    const Matrix grad = gradient(q, measurements, opts.gamma);
+    ws.gradient(measurements);
     const real f_smooth = nll_cur;
 
     // Backtracking proximal gradient step.
-    Matrix q_next = q;
+    const std::span<const cx> q = ws.q.data();
+    const std::span<const cx> grad = ws.grad.data();
+    const std::span<cx> arg = ws.arg.data();
+    const std::span<cx> delta = ws.delta.data();
     real nll_next = nll_cur;
     bool accepted = false;
     for (int bt = 0; bt < opts.max_backtracks; ++bt) {
-      const Matrix trial = linalg::eigenvalue_soft_threshold(
-          q - cx{step, 0.0} * grad, step * opts.mu);
-      const Matrix delta = trial - q;
+      for (index_t e = 0; e < arg.size(); ++e)
+        arg[e] = q[e] - grad[e] * cx{step, 0.0};
+      linalg::eigenvalue_soft_threshold(ws.arg, step * opts.mu, ws.eig,
+                                        ws.trial);
+      const std::span<const cx> trial = ws.trial.data();
+      for (index_t e = 0; e < delta.size(); ++e) delta[e] = trial[e] - q[e];
       const real quad =
-          f_smooth + inner_real(grad, delta) +
-          inner_real(delta, delta) / (2.0 * step);
-      const real f_trial =
-          negative_log_likelihood(trial, measurements, opts.gamma);
+          f_smooth + inner_real(ws.grad, ws.delta) +
+          inner_real(ws.delta, ws.delta) / (2.0 * step);
+      const real f_trial = negative_log_likelihood(
+          ws.trial, measurements, ws.noise, ws.trial_lambda);
       if (f_trial <= quad + 1e-12 * std::abs(quad)) {
-        q_next = trial;
         nll_next = f_trial;
         accepted = true;
         break;
@@ -188,13 +244,16 @@ SolveResult solve_full(index_t n,
       // The step has shrunk below usefulness: we are at (numerical)
       // stationarity.
       result.converged = true;
+      result.stalled = true;
       result.iterations = it;
       break;
     }
 
-    q = q_next;
+    // The trial and its λ_j become the iterate's (buffers swap, no copy).
+    std::swap(ws.q, ws.trial);
+    std::swap(ws.lambda, ws.trial_lambda);
     nll_cur = nll_next;
-    const real f_now = nll_cur + opts.mu * q.trace().real();
+    const real f_now = nll_cur + opts.mu * ws.q.trace().real();
     result.iterations = it + 1;
     if (tracing)
       obs::TraceCollector::global().counter("estimation.ml.nll", nll_cur);
@@ -210,7 +269,7 @@ SolveResult solve_full(index_t n,
     step = std::min(step * 2.0, opts.initial_step);
   }
 
-  result.q = std::move(q);
+  result.q = ws.q;
   result.objective = f_prev;
   span.arg("iterations", static_cast<double>(result.iterations));
   span.arg("converged", result.converged ? 1.0 : 0.0);
@@ -317,6 +376,7 @@ CovarianceMlResult solve_ml(index_t n,
   result.objective = solve.objective;
   result.iterations = solve.iterations;
   result.converged = solve.converged;
+  result.stalled = solve.stalled;
   record_ml_solve(solve, result);
   return result;
 }

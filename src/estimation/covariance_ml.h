@@ -38,6 +38,11 @@ struct CovarianceMlResult {
   real objective = 0.0;    ///< final J_μ(Q̂)
   int iterations = 0;
   bool converged = false;
+  /// The proximal solver ended because every backtracked step of one
+  /// iteration failed the sufficient-decrease test. `converged` is also
+  /// set then (the iterate is treated as numerically stationary); this
+  /// label tells that exit apart from the objective-change test.
+  bool stalled = false;
 };
 
 /// Estimates an n×n covariance from beam-energy measurements.

@@ -20,9 +20,10 @@ real expected_energy(const linalg::FactoredHermitian& q,
 
 namespace {
 
-template <typename Cov>
-real nll_impl(const Cov& q, std::span<const BeamMeasurement> measurements,
-              real gamma) {
+/// Σ_j log λ_j + |z_j|²/λ_j with λ_j = energy(j).
+template <typename Energy>
+real nll_impl(std::span<const BeamMeasurement> measurements,
+              Energy&& energy) {
   // Likelihood passes dominate solver cost; the count (vs. solver
   // iterations) exposes how much the backtracking line search re-evaluates.
   if (obs::enabled()) {
@@ -31,10 +32,10 @@ real nll_impl(const Cov& q, std::span<const BeamMeasurement> measurements,
     evals.add();
   }
   real acc = 0.0;
-  for (const BeamMeasurement& m : measurements) {
-    const real lambda = expected_energy(q, m.beam, gamma);
+  for (index_t j = 0; j < measurements.size(); ++j) {
+    const real lambda = energy(j);
     MMW_REQUIRE_MSG(lambda > 0.0, "non-positive predicted energy");
-    acc += std::log(lambda) + m.energy / lambda;
+    acc += std::log(lambda) + measurements[j].energy / lambda;
   }
   return acc;
 }
@@ -44,13 +45,29 @@ real nll_impl(const Cov& q, std::span<const BeamMeasurement> measurements,
 real negative_log_likelihood(const linalg::Matrix& q,
                              std::span<const BeamMeasurement> measurements,
                              real gamma) {
-  return nll_impl(q, measurements, gamma);
+  return nll_impl(measurements, [&](index_t j) {
+    return expected_energy(q, measurements[j].beam, gamma);
+  });
+}
+
+real negative_log_likelihood(const linalg::Matrix& q,
+                             std::span<const BeamMeasurement> measurements,
+                             std::span<const real> noise,
+                             std::span<real> lambda) {
+  MMW_REQUIRE(noise.size() == measurements.size() &&
+              lambda.size() == measurements.size());
+  return nll_impl(measurements, [&](index_t j) {
+    return lambda[j] =
+               linalg::hermitian_form(measurements[j].beam, q) + noise[j];
+  });
 }
 
 real negative_log_likelihood(const linalg::FactoredHermitian& q,
                              std::span<const BeamMeasurement> measurements,
                              real gamma) {
-  return nll_impl(q, measurements, gamma);
+  return nll_impl(measurements, [&](index_t j) {
+    return expected_energy(q, measurements[j].beam, gamma);
+  });
 }
 
 }  // namespace mmw::estimation

@@ -37,6 +37,14 @@ real negative_log_likelihood(const linalg::Matrix& q,
                              std::span<const BeamMeasurement> measurements,
                              real gamma);
 
+/// The dense value with each ‖v_j‖²/γ given as noise[j], storing each
+/// λ_j(Q) in lambda[j] — the covariance-ML solver's per-iteration form.
+/// Preconditions: noise and lambda have one entry per measurement.
+real negative_log_likelihood(const linalg::Matrix& q,
+                             std::span<const BeamMeasurement> measurements,
+                             std::span<const real> noise,
+                             std::span<real> lambda);
+
 /// Factored overload — same value, evaluated through the factor.
 real negative_log_likelihood(const linalg::FactoredHermitian& q,
                              std::span<const BeamMeasurement> measurements,

@@ -5,7 +5,9 @@
 //   → diagonal phase similarity making the off-diagonal real non-negative
 //   → implicit QL with Wilkinson shifts on the real tridiagonal,
 // with all transforms accumulated into a complex unitary Z, so finally
-// A = Z diag(λ) Zᴴ.
+// A = Z diag(λ) Zᴴ. Z is stored transposed (zt_ = Zᵀ): every update below
+// that the textbook writes on a column of Z runs on a contiguous row of
+// zt_, with the same operations in the same order.
 #include <algorithm>
 #include <cmath>
 #include <numeric>
@@ -15,14 +17,12 @@
 
 namespace mmw::linalg {
 
-namespace {
-
-/// Householder reduction of Hermitian `a` (modified in place) to
-/// tridiagonal form; `z` accumulates the unitary similarity.
-/// Afterwards only a's diagonal and first off-diagonal are meaningful.
-void householder_tridiagonalize(Matrix& a, Matrix& z) {
+/// Householder reduction of Hermitian a_ (modified in place) to
+/// tridiagonal form; zt_ accumulates the unitary similarity.
+/// Afterwards only a_'s diagonal and first off-diagonal are meaningful.
+void EigWorkspace::tridiagonalize() {
+  Matrix& a = a_;
   const index_t n = a.rows();
-  Vector u(n), p(n), w(n);
 
   for (index_t k = 0; k + 2 < n; ++k) {
     // x = a[k+1 .. n-1, k]; reflect it onto ±e1.
@@ -39,29 +39,29 @@ void householder_tridiagonalize(Matrix& a, Matrix& z) {
     // u = (x − α e1) normalized.
     real unorm_sq = 0.0;
     for (index_t i = k + 1; i < n; ++i) {
-      u[i] = a(i, k) - ((i == k + 1) ? alpha : cx{0.0, 0.0});
-      unorm_sq += std::norm(u[i]);
+      u_[i] = a(i, k) - ((i == k + 1) ? alpha : cx{0.0, 0.0});
+      unorm_sq += std::norm(u_[i]);
     }
     if (unorm_sq == 0.0) continue;
     const real inv_unorm = 1.0 / std::sqrt(unorm_sq);
-    for (index_t i = k + 1; i < n; ++i) u[i] *= inv_unorm;
+    for (index_t i = k + 1; i < n; ++i) u_[i] *= inv_unorm;
 
     // p = A u on the trailing block.
     for (index_t i = k + 1; i < n; ++i) {
       cx acc{0.0, 0.0};
-      for (index_t j = k + 1; j < n; ++j) acc += a(i, j) * u[j];
-      p[i] = acc;
+      for (index_t j = k + 1; j < n; ++j) acc += a(i, j) * u_[j];
+      p_[i] = acc;
     }
     // c = uᴴ p (real for Hermitian A); w = 2p − 2c·u.
     cx c{0.0, 0.0};
-    for (index_t i = k + 1; i < n; ++i) c += std::conj(u[i]) * p[i];
+    for (index_t i = k + 1; i < n; ++i) c += std::conj(u_[i]) * p_[i];
     for (index_t i = k + 1; i < n; ++i)
-      w[i] = 2.0 * p[i] - 2.0 * c * u[i];
+      w_[i] = 2.0 * p_[i] - 2.0 * c * u_[i];
 
     // Trailing block: A ← A − u wᴴ − w uᴴ.
     for (index_t i = k + 1; i < n; ++i)
       for (index_t j = k + 1; j < n; ++j)
-        a(i, j) -= u[i] * std::conj(w[j]) + w[i] * std::conj(u[j]);
+        a(i, j) -= u_[i] * std::conj(w_[j]) + w_[i] * std::conj(u_[j]);
 
     // Column k: x ← α e1 (and the Hermitian mirror row).
     a(k + 1, k) = alpha;
@@ -71,27 +71,34 @@ void householder_tridiagonalize(Matrix& a, Matrix& z) {
       a(k, i) = cx{0.0, 0.0};
     }
 
-    // Accumulate: Z ← Z (I − 2uuᴴ), i.e. columns k+1.. of Z get updated.
-    for (index_t r = 0; r < n; ++r) {
-      cx acc{0.0, 0.0};
-      for (index_t j = k + 1; j < n; ++j) acc += z(r, j) * u[j];
-      acc *= 2.0;
-      for (index_t j = k + 1; j < n; ++j)
-        z(r, j) -= acc * std::conj(u[j]);
+    // Accumulate Z ← Z (I − 2uuᴴ): row r of Z takes 2·(Z u)_r·uᴴ on its
+    // entries k+1.., i.e. rows k+1.. of Zᵀ take acc·conj(u_j). acc_[r]
+    // sums z(r, j)·u_j over ascending j, as a row-wise dot product would.
+    std::fill(acc_.begin(), acc_.end(), cx{0.0, 0.0});
+    for (index_t j = k + 1; j < n; ++j) {
+      const cx* zj = &zt_(j, 0);
+      for (index_t r = 0; r < n; ++r) acc_[r] += zj[r] * u_[j];
+    }
+    for (index_t r = 0; r < n; ++r) acc_[r] *= 2.0;
+    for (index_t j = k + 1; j < n; ++j) {
+      cx* zj = &zt_(j, 0);
+      for (index_t r = 0; r < n; ++r) zj[r] -= acc_[r] * std::conj(u_[j]);
     }
   }
 }
 
-/// Implicit QL with Wilkinson shifts on a real symmetric tridiagonal
-/// (d = diagonal, e = subdiagonal, e[n-1] unused), rotations accumulated
-/// into the complex matrix z. Numerical-Recipes tqli structure.
+/// Implicit QL with Wilkinson shifts on the real symmetric tridiagonal
+/// (d_ = diagonal, e_ = subdiagonal, e_[n-1] unused), rotations
+/// accumulated into rows of zt_. Numerical-Recipes tqli structure.
 ///
 /// A subdiagonal entry is negligible when it is small against its two
 /// diagonal neighbours, or — EISPACK tql2's test — when it vanishes
 /// against tst1, the largest |d_l| + |e_l| seen so far. The second exit is
 /// what deflates inside a cluster of (near-)zero eigenvalues, where the
 /// neighbour-relative test never fires.
-void tridiagonal_ql(std::vector<real>& d, std::vector<real>& e, Matrix& z) {
+void EigWorkspace::tridiagonal_ql() {
+  std::vector<real>& d = d_;
+  std::vector<real>& e = e_;
   const index_t n = d.size();
   if (n == 0) return;
   e[n - 1] = 0.0;
@@ -138,12 +145,14 @@ void tridiagonal_ql(std::vector<real>& d, std::vector<real>& e, Matrix& z) {
         p = s * r;
         d[i + 1] = g + p;
         g = c * r - b;
-        // Accumulate the rotation into columns i, i+1 of z.
-        for (index_t k = 0; k < z.rows(); ++k) {
-          const cx zk1 = z(k, i + 1);
-          const cx zk0 = z(k, i);
-          z(k, i + 1) = s * zk0 + c * zk1;
-          z(k, i) = c * zk0 - s * zk1;
+        // Accumulate the rotation into columns i, i+1 of Z: rows of Zᵀ.
+        cx* z0 = &zt_(i, 0);
+        cx* z1 = &zt_(i + 1, 0);
+        for (index_t k = 0; k < n; ++k) {
+          const cx zk1 = z1[k];
+          const cx zk0 = z0[k];
+          z1[k] = s * zk0 + c * zk1;
+          z0[k] = c * zk0 - s * zk1;
         }
       }
       if (underflow) continue;
@@ -154,9 +163,7 @@ void tridiagonal_ql(std::vector<real>& d, std::vector<real>& e, Matrix& z) {
   }
 }
 
-}  // namespace
-
-EigResult hermitian_eig(const Matrix& a_in) {
+void EigWorkspace::decompose(const Matrix& a_in) {
   MMW_REQUIRE_MSG(a_in.is_square(), "hermitian_eig requires a square matrix");
   const real scale = std::max(a_in.frobenius_norm(), 1e-300);
   MMW_REQUIRE_MSG(a_in.is_hermitian(1e-8 * std::max(1.0, scale)),
@@ -169,45 +176,61 @@ EigResult hermitian_eig(const Matrix& a_in) {
   }
 
   const index_t n = a_in.rows();
-  Matrix a = (a_in + a_in.adjoint()) * cx{0.5, 0.0};
-  Matrix z = Matrix::identity(n);
-  householder_tridiagonalize(a, z);
+  // Every buffer is written in full here before any step reads it, and the
+  // result is empty until the sort below, so a throw leaves nothing stale.
+  order_.clear();
+  a_.reset(n, n);
+  for (index_t i = 0; i < n; ++i)
+    for (index_t j = 0; j < n; ++j)
+      a_(i, j) = (a_in(i, j) + std::conj(a_in(j, i))) * cx{0.5, 0.0};
+  zt_.reset(n, n);
+  for (index_t i = 0; i < n; ++i) zt_(i, i) = cx{1.0, 0.0};
+  for (std::vector<cx>* v : {&u_, &p_, &w_, &acc_})
+    v->assign(n, cx{0.0, 0.0});
+  tridiagonalize();
 
   // Phase similarity: make the (complex) subdiagonal real non-negative.
   // With D = diag(e^{iψ_0}, …), (Dᴴ T D)_{i+1,i} = e^{-iψ_{i+1}} t e^{iψ_i};
   // choose ψ cumulatively and fold D into Z (columns scale by e^{iψ_j}).
-  std::vector<real> d(n), e(n, 0.0);
+  d_.assign(n, 0.0);
+  e_.assign(n, 0.0);
   cx psi{1.0, 0.0};  // e^{iψ_j}, built incrementally
   for (index_t i = 0; i < n; ++i) {
-    d[i] = a(i, i).real();
+    d_[i] = a_(i, i).real();
+    cx next_psi = psi;
     if (i + 1 < n) {
-      const cx t = a(i + 1, i);
+      const cx t = a_(i + 1, i);
       const real mag = std::abs(t);
       // e^{iψ_{i+1}} = e^{iψ_i} · t/|t| makes the transformed entry |t|.
-      const cx next_psi = (mag == 0.0) ? psi : psi * (t / mag);
-      e[i] = mag;
-      // Fold the phase into Z's column i (current ψ) now.
-      for (index_t r = 0; r < n; ++r) z(r, i) *= psi;
-      psi = next_psi;
-    } else {
-      for (index_t r = 0; r < n; ++r) z(r, i) *= psi;
+      if (mag != 0.0) next_psi = psi * (t / mag);
+      e_[i] = mag;
     }
+    // Fold the phase into Z's column i (current ψ) now.
+    cx* zi = &zt_(i, 0);
+    for (index_t r = 0; r < n; ++r) zi[r] *= psi;
+    psi = next_psi;
   }
 
-  tridiagonal_ql(d, e, z);
+  tridiagonal_ql();
 
   // Sort eigenpairs descending.
-  std::vector<index_t> order(n);
-  std::iota(order.begin(), order.end(), index_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](index_t x, index_t y) { return d[x] > d[y]; });
+  order_.resize(n);
+  std::iota(order_.begin(), order_.end(), index_t{0});
+  std::sort(order_.begin(), order_.end(),
+            [&](index_t x, index_t y) { return d_[x] > d_[y]; });
+}
 
+EigResult hermitian_eig(const Matrix& a) {
+  EigWorkspace ws;
+  ws.decompose(a);
+  const index_t n = ws.size();
   EigResult result;
   result.eigenvalues.resize(n);
   result.eigenvectors = Matrix(n, n);
   for (index_t k = 0; k < n; ++k) {
-    result.eigenvalues[k] = d[order[k]];
-    result.eigenvectors.set_col(k, z.col(order[k]));
+    result.eigenvalues[k] = ws.eigenvalue(k);
+    const std::span<const cx> v = ws.eigenvector(k);
+    for (index_t i = 0; i < n; ++i) result.eigenvectors(i, k) = v[i];
   }
   return result;
 }

@@ -7,52 +7,60 @@ namespace mmw::linalg {
 
 namespace {
 
-/// Rebuilds V f(diag) Vᴴ from an eigendecomposition with mapped eigenvalues.
-Matrix rebuild(const EigResult& eig, const std::vector<real>& mapped) {
-  const index_t n = eig.eigenvectors.rows();
-  Matrix out(n, n);
+/// out = V f(Λ) Vᴴ from the decomposition in `eig`, summed over the
+/// eigenpairs in descending order; pairs that f maps to 0 are skipped.
+template <typename F>
+void rebuild(const EigWorkspace& eig, F&& f, Matrix& out) {
+  const index_t n = eig.size();
+  out.reset(n, n);
   for (index_t k = 0; k < n; ++k) {
-    if (mapped[k] == 0.0) continue;
-    const Vector vk = eig.eigenvectors.col(k);
+    const real mapped = f(eig.eigenvalue(k));
+    if (mapped == 0.0) continue;
+    const std::span<const cx> vk = eig.eigenvector(k);
     for (index_t i = 0; i < n; ++i) {
-      const cx scaled = mapped[k] * vk[i];
-      for (index_t j = 0; j < n; ++j)
-        out(i, j) += scaled * std::conj(vk[j]);
+      const cx scaled = mapped * vk[i];
+      cx* row = &out(i, 0);
+      for (index_t j = 0; j < n; ++j) row[j] += scaled * std::conj(vk[j]);
     }
   }
-  return out;
 }
 
 }  // namespace
 
 Matrix psd_project(const Matrix& a) {
-  const EigResult eig = hermitian_eig(a);
-  std::vector<real> clipped(eig.eigenvalues.size());
-  for (index_t k = 0; k < clipped.size(); ++k)
-    clipped[k] = std::max(eig.eigenvalues[k], 0.0);
-  return rebuild(eig, clipped);
+  EigWorkspace eig;
+  eig.decompose(a);
+  Matrix out;
+  rebuild(eig, [](real lambda) { return std::max(lambda, 0.0); }, out);
+  return out;
 }
 
 Matrix hermitian_sqrt(const Matrix& a) {
-  const EigResult eig = hermitian_eig(a);
+  EigWorkspace eig;
+  eig.decompose(a);
   const real floor =
-      -1e-9 * std::max(eig.eigenvalues.empty() ? 0.0 : eig.eigenvalues[0], 1.0);
-  std::vector<real> roots(eig.eigenvalues.size());
-  for (index_t k = 0; k < roots.size(); ++k) {
-    MMW_REQUIRE_MSG(eig.eigenvalues[k] >= floor,
+      -1e-9 * std::max(eig.size() == 0 ? 0.0 : eig.eigenvalue(0), 1.0);
+  for (index_t k = 0; k < eig.size(); ++k)
+    MMW_REQUIRE_MSG(eig.eigenvalue(k) >= floor,
                     "hermitian_sqrt: matrix is not PSD");
-    roots[k] = std::sqrt(std::max(eig.eigenvalues[k], 0.0));
-  }
-  return rebuild(eig, roots);
+  Matrix out;
+  rebuild(eig, [](real lambda) { return std::sqrt(std::max(lambda, 0.0)); },
+          out);
+  return out;
+}
+
+void eigenvalue_soft_threshold(const Matrix& a, real mu, EigWorkspace& ws,
+                               Matrix& out) {
+  MMW_REQUIRE_MSG(mu >= 0.0, "threshold must be non-negative");
+  ws.decompose(a);
+  rebuild(ws, [mu](real lambda) { return std::max(lambda - mu, 0.0); }, out);
 }
 
 Matrix eigenvalue_soft_threshold(const Matrix& a, real mu) {
-  MMW_REQUIRE_MSG(mu >= 0.0, "threshold must be non-negative");
-  const EigResult eig = hermitian_eig(a);
-  std::vector<real> shrunk(eig.eigenvalues.size());
-  for (index_t k = 0; k < shrunk.size(); ++k)
-    shrunk[k] = std::max(eig.eigenvalues[k] - mu, 0.0);
-  return rebuild(eig, shrunk);
+  EigWorkspace ws;
+  Matrix out;
+  eigenvalue_soft_threshold(a, mu, ws, out);
+  return out;
 }
 
 index_t numerical_rank(const Matrix& a, real rel_tol) {

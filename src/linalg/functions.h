@@ -23,6 +23,12 @@ Matrix hermitian_sqrt(const Matrix& a);
 /// by the regularized ML covariance solver (paper eq. 23).
 Matrix eigenvalue_soft_threshold(const Matrix& a, real mu);
 
+/// eigenvalue_soft_threshold into `out`, decomposing in `ws`: the same
+/// result bit for bit, with no heap allocation once `ws` and `out` have
+/// held a matrix of a's size.
+void eigenvalue_soft_threshold(const Matrix& a, real mu, EigWorkspace& ws,
+                               Matrix& out);
+
 /// Numerical rank: number of singular values above `rel_tol · σ_max`.
 index_t numerical_rank(const Matrix& a, real rel_tol = 1e-9);
 

@@ -15,6 +15,12 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<cx>> init) {
   }
 }
 
+void Matrix::reset(index_t rows, index_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.assign(rows * cols, cx{0.0, 0.0});
+}
+
 cx& Matrix::at(index_t i, index_t j) {
   MMW_REQUIRE_MSG(i < rows_ && j < cols_, "matrix index out of range");
   return (*this)(i, j);
@@ -88,10 +94,15 @@ void Matrix::set_col(index_t j, const Vector& v) {
 
 bool Matrix::is_hermitian(real tol) const {
   if (!is_square()) return false;
+  // A difference whose parts are both within tol/2 has |d| ≤ tol/√2, so
+  // only the other pairs need std::abs (a hypot); the verdict is the same.
+  const real half = 0.5 * tol;
   for (index_t i = 0; i < rows_; ++i)
-    for (index_t j = i; j < cols_; ++j)
-      if (std::abs((*this)(i, j) - std::conj((*this)(j, i))) > tol)
-        return false;
+    for (index_t j = i; j < cols_; ++j) {
+      const cx d = (*this)(i, j) - std::conj((*this)(j, i));
+      if (std::abs(d.real()) <= half && std::abs(d.imag()) <= half) continue;
+      if (std::abs(d) > tol) return false;
+    }
   return true;
 }
 
@@ -188,7 +199,19 @@ bool approx_equal(const Matrix& a, const Matrix& b, real tol) {
 
 real hermitian_form(const Vector& v, const Matrix& m) {
   MMW_REQUIRE(m.is_square());
-  return dot(v, m * v).real();
+  MMW_REQUIRE_MSG(m.cols() == v.size(), "matrix-vector shape mismatch");
+  // dot(v, m * v) in one pass: each (Mv)_i is summed exactly as operator*
+  // sums it and folded into the dot product as dot() folds it.
+  const index_t n = v.size();
+  const cx* row = m.data().data();
+  const cx* vp = v.data().data();
+  cx acc{0.0, 0.0};
+  for (index_t i = 0; i < n; ++i, row += n) {
+    cx mv{0.0, 0.0};
+    for (index_t j = 0; j < n; ++j) mv += row[j] * vp[j];
+    acc += std::conj(vp[i]) * mv;
+  }
+  return acc.real();
 }
 
 }  // namespace mmw::linalg

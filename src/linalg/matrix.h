@@ -36,6 +36,10 @@ class Matrix {
     return data_[i * cols_ + j];
   }
 
+  /// Becomes the rows × cols zero matrix. The storage is reused, so this
+  /// allocates only to grow past every shape the matrix held before.
+  void reset(index_t rows, index_t cols);
+
   /// Bounds-checked access.
   cx& at(index_t i, index_t j);
   const cx& at(index_t i, index_t j) const;

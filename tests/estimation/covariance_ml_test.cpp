@@ -5,9 +5,13 @@
 #include <cmath>
 #include <limits>
 
+#include "antenna/codebook.h"
 #include "channel/link.h"
+#include "estimation/beamspace.h"
 #include "linalg/eig.h"
 #include "linalg/functions.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "randgen/rng.h"
 
 namespace mmw::estimation {
@@ -231,6 +235,51 @@ TEST(CovarianceMlTest, ConvergesWithinBudget) {
   const auto res = estimate_covariance_ml(n, ms, opts);
   EXPECT_TRUE(res.converged);
   EXPECT_LE(res.iterations, opts.max_iterations);
+}
+
+/// Value of the process-wide counter `name` (0 before its first add).
+std::uint64_t counter_value(const char* name) {
+  const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second.value;
+}
+
+TEST(CovarianceMlTest, ExhaustedBacktrackingIsLabelledStalled) {
+  // Exact-expectation energies at γ = 1000 on a 4×4 angular grid: the
+  // first step overshoots so far that two halvings cannot repair it, so
+  // the solve ends through the exhausted-backtracking exit.
+  const auto cb = antenna::Codebook::angular_grid(
+      antenna::ArrayGeometry::upa(4, 4), 4, 4);
+  const std::vector<BeamComponent> truth{{6, 2.5}, {10, 0.7}};
+  const linalg::FactoredHermitian q_true = expand_beam_space(truth, cb);
+  CovarianceMlOptions opts;
+  opts.gamma = 1000.0;
+  std::vector<BeamMeasurement> ms;
+  for (index_t k = 0; k < 8; ++k) {
+    const Vector& v = cb.codeword(2 * k);
+    ms.push_back({v, expected_energy(q_true, v, opts.gamma)});
+  }
+
+  const bool was = obs::enabled();
+  obs::set_enabled(true);
+  const std::uint64_t before = counter_value("estimation.ml.stalled");
+  opts.max_backtracks = 2;
+  const CovarianceMlResult stalled = estimate_covariance_ml(16, ms, opts);
+  const std::uint64_t after_stall = counter_value("estimation.ml.stalled");
+  opts.max_backtracks = 40;
+  const CovarianceMlResult settled = estimate_covariance_ml(16, ms, opts);
+  const std::uint64_t after_settle = counter_value("estimation.ml.stalled");
+  obs::set_enabled(was);
+
+  EXPECT_TRUE(stalled.stalled);
+  EXPECT_TRUE(stalled.converged);  // the label the ladder reads is unchanged
+  EXPECT_EQ(stalled.iterations, 0);
+  EXPECT_EQ(after_stall, before + 1);
+  // With room to backtrack the same problem ends on the objective test.
+  EXPECT_FALSE(settled.stalled);
+  EXPECT_TRUE(settled.converged);
+  EXPECT_GT(settled.iterations, 0);
+  EXPECT_EQ(after_settle, after_stall);
 }
 
 TEST(CovarianceEmTest, InputValidation) {
