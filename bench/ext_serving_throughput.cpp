@@ -162,8 +162,7 @@ int main(int argc, char** argv) {
               : "bench_results/ext_serving_throughput_" +
                     std::to_string(sessions) + "_telemetry.ndjson";
       cfg.telemetry.ndjson_path = base;
-      cfg.telemetry.health_path = base + ".health.json";
-      cfg.telemetry.watchdog = true;
+      cfg.telemetry.watchdog.emplace().health_path = base + ".health.json";
     }
 
     serve::ServingEngine engine(cfg);

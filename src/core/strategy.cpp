@@ -107,12 +107,13 @@ void ProposedAlignment::run(Session& session) const {
   // and every downstream consumer (codebook scoring, probe ranking) goes
   // through the factor, so Q̂ is never lifted to N×N; it is only carried
   // to the next slot (Algorithm 1). All solves route through the
-  // degradation ladder (estimation/robust.h): with no fault context armed
-  // this is bit-identical to calling the configured estimator directly.
+  // degradation ladder (estimation/robust.h) with the session's fault
+  // state: on a clean run this is bit-identical to calling the configured
+  // estimator directly.
   const auto estimate =
       [&](std::span<const BeamMeasurement> ms) -> FactoredHermitian {
     return estimation::robust_estimate_covariance(
-               n, ms, est, options_.estimator_kind)
+               n, ms, est, options_.estimator_kind, session.armed_faults())
         .q;
   };
 
@@ -258,7 +259,8 @@ void PingPongAlignment::run(Session& session) const {
                             std::span<const BeamMeasurement> ms) {
     return estimation::robust_estimate_covariance(
                cb.codeword(0).size(), ms, est,
-               estimation::EstimatorKind::kRegularizedMl)
+               estimation::EstimatorKind::kRegularizedMl,
+               session.armed_faults())
         .q;
   };
 

@@ -73,6 +73,26 @@ std::vector<BeamComponent> merge_beam_space(
   MMW_REQUIRE_MSG(forgetting >= 0.0 && forgetting <= 1.0,
                   "forgetting factor must be in [0, 1]");
   MMW_REQUIRE_MSG(max_components > 0, "need room for at least one component");
+  const auto ascending = [](std::span<const BeamComponent> cs) {
+    return std::adjacent_find(cs.begin(), cs.end(),
+                              [](const BeamComponent& a,
+                                 const BeamComponent& b) {
+                                return a.beam >= b.beam;
+                              }) == cs.end();
+  };
+  MMW_REQUIRE_MSG(ascending(prior),
+                  "prior components must be strictly ascending by beam");
+  MMW_REQUIRE_MSG(ascending(update),
+                  "update components must be strictly ascending by beam");
+  // A component whose weight is not positive (zero, negative, NaN) is
+  // absent, as in expand_beam_space, so it never cancels the other list's
+  // weight; forgetting 0 drops the prior outright (0·∞ would be NaN).
+  const auto prior_weight = [&](const BeamComponent& c) {
+    return forgetting > 0.0 && c.weight > 0.0 ? forgetting * c.weight : 0.0;
+  };
+  const auto update_weight = [](const BeamComponent& c) {
+    return c.weight > 0.0 ? c.weight : 0.0;
+  };
   // Two-pointer union over the canonically-ordered inputs.
   std::vector<BeamComponent> merged;
   merged.reserve(prior.size() + update.size());
@@ -80,20 +100,14 @@ std::vector<BeamComponent> merge_beam_space(
   while (i < prior.size() || j < update.size()) {
     if (j == update.size() ||
         (i < prior.size() && prior[i].beam < update[j].beam)) {
-      MMW_REQUIRE_MSG(i + 1 == prior.size() ||
-                          prior[i].beam < prior[i + 1].beam,
-                      "prior components must be strictly ascending by beam");
-      merged.push_back({prior[i].beam, forgetting * prior[i].weight});
+      merged.push_back({prior[i].beam, prior_weight(prior[i])});
       ++i;
     } else if (i == prior.size() || update[j].beam < prior[i].beam) {
-      MMW_REQUIRE_MSG(j + 1 == update.size() ||
-                          update[j].beam < update[j + 1].beam,
-                      "update components must be strictly ascending by beam");
-      merged.push_back(update[j]);
+      merged.push_back({update[j].beam, update_weight(update[j])});
       ++j;
     } else {
-      merged.push_back(
-          {prior[i].beam, forgetting * prior[i].weight + update[j].weight});
+      merged.push_back({prior[i].beam,
+                        prior_weight(prior[i]) + update_weight(update[j])});
       ++i;
       ++j;
     }

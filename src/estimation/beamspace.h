@@ -71,7 +71,9 @@ std::vector<BeamComponent> compress_to_beam_space(
 /// Tracking update: out(b) = forgetting·prior(b) + update(b) over the union
 /// of beams, truncated to the `max_components` heaviest (ties toward the
 /// lowest beam), returned in ascending beam order. forgetting ∈ [0, 1];
-/// 0 discards the prior, 1 accumulates forever.
+/// 0 discards the prior, 1 accumulates forever. An input component whose
+/// weight is not positive (zero, negative, NaN) counts as absent, so the
+/// output holds only positive weights (+∞ where a sum saturates).
 /// Preconditions: both inputs in canonical (strictly ascending beam) order.
 std::vector<BeamComponent> merge_beam_space(
     std::span<const BeamComponent> prior, real forgetting,

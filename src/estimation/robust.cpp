@@ -3,7 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include "fault/context.h"
 #include "linalg/functions.h"
 #include "obs/metrics.h"
 
@@ -114,8 +113,8 @@ linalg::FactoredHermitian run_uniform_rung(
 
 RobustEstimateResult robust_estimate_covariance(
     index_t n, std::span<const BeamMeasurement> measurements,
-    const CovarianceMlOptions& options, EstimatorKind kind) {
-  fault::TrialFaultState* faults = fault::current_trial_faults();
+    const CovarianceMlOptions& options, EstimatorKind kind,
+    fault::TrialFaultState* faults) {
   const bool armed = faults != nullptr;
   const bool stressed = armed && faults->plan != nullptr &&
                         faults->plan->solve_stressed(faults->solves);
@@ -140,8 +139,8 @@ RobustEstimateResult robust_estimate_covariance(
     } else if (!r.converged && armed) {
       out.primary_status = SolveStatus::kNonConverged;
     } else {
-      // Clean path: non-convergence without an armed fault context is
-      // accepted as-is, exactly as the strategies always did.
+      // Clean path: non-convergence without a fault state is accepted
+      // as-is, exactly as the strategies always did.
       out.q = std::move(r.q);
       primary_ok = true;
     }

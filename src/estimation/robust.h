@@ -6,16 +6,17 @@
 // covariance → uniform prior. Each rung is strictly cheaper and strictly
 // more conservative than the one above; the last rung cannot fail. A rung
 // falls through when it throws (convergence_error, precondition_error),
-// returns a non-finite estimate, or — ONLY while a fault context is armed
-// (fault::current_trial_faults) — reports non-convergence. Clean runs take
-// the primary rung unconditionally and are bit-identical to calling the
-// underlying estimator directly, which is what keeps the committed golden
-// figures byte-stable with faults disabled.
+// returns a non-finite estimate, or — ONLY when the caller passes a run's
+// fault state (mac::Session::armed_faults) — reports non-convergence. Clean
+// runs take the primary rung unconditionally and are bit-identical to
+// calling the underlying estimator directly, which is what keeps the
+// committed golden figures byte-stable with faults disabled.
 #pragma once
 
 #include <span>
 
 #include "estimation/covariance_ml.h"
+#include "fault/fault.h"
 
 namespace mmw::estimation {
 
@@ -38,8 +39,8 @@ enum class SolveRung : int {
 
 /// What happened to the primary attempt.
 enum class SolveStatus {
-  kOk,            ///< converged (or non-convergence accepted: no faults armed)
-  kNonConverged,  ///< iteration budget exhausted while faults were armed
+  kOk,            ///< converged (or non-convergence accepted: clean run)
+  kNonConverged,  ///< iteration budget exhausted under fault injection
   kStressed,      ///< forced solver stress (starved budget, treated as failed)
   kThrew,         ///< solver threw or produced a non-finite estimate
 };
@@ -54,12 +55,17 @@ struct RobustEstimateResult {
 /// for solver-side reasons (precondition violations of the *call itself* —
 /// empty measurements, bad options — still throw).
 ///
+/// `faults` is the run's fault state, null on a clean run. When given, its
+/// plan (if any) schedules forced stress by solve number, and the call
+/// advances its solve count and rung histogram — the per-trial tallies of
+/// the E8 robustness matrix.
+///
 /// Observability: estimation.fallback.{em,sample,uniform} count the final
 /// rung of every degraded solve and estimation.fallback.stressed counts
-/// forced-stress injections; the armed fault context (when present)
-/// accumulates the same tallies per trial for the E8 robustness matrix.
+/// forced-stress injections.
 RobustEstimateResult robust_estimate_covariance(
     index_t n, std::span<const BeamMeasurement> measurements,
-    const CovarianceMlOptions& options, EstimatorKind kind);
+    const CovarianceMlOptions& options, EstimatorKind kind,
+    fault::TrialFaultState* faults);
 
 }  // namespace mmw::estimation

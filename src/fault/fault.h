@@ -14,6 +14,7 @@
 //    only — not of how many random draws a strategy happens to consume.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -135,6 +136,23 @@ class FaultPlan {
   std::vector<bool> stressed_solves_;
   index_t blockage_onset_ = kNeverBlocked;
   std::vector<real> path_power_scale_;
+};
+
+/// Mutable state of one (trial, strategy) run under fault injection. The
+/// run's mac::Session owns it: arm_faults sets the plan, and the
+/// degradation ladder (estimation::robust_estimate_covariance) advances the
+/// tallies through the pointer the strategies pass it.
+struct TrialFaultState {
+  const FaultPlan* plan = nullptr;  ///< borrowed; null on a clean run
+
+  /// Covariance solves consumed so far — the index into the plan's
+  /// stressed-solve schedule.
+  index_t solves = 0;
+  std::uint64_t stressed_solves = 0;  ///< solves hit by forced stress
+
+  /// Final-rung histogram over this run's solves, indexed by
+  /// estimation::SolveRung (0 = primary succeeded, then em/sample/uniform).
+  std::array<std::uint64_t, 4> rung_counts{};
 };
 
 /// Reserved key_a base of the fault plans inside the three-key stream

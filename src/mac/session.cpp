@@ -93,7 +93,7 @@ void Session::arm_faults(const fault::FaultPlan* plan,
                         degraded_link->rx_size() == link_->rx_size(),
                     "degraded link must match the clean link's array sizes");
   }
-  fault_plan_ = plan;
+  faults_.plan = plan;
   degraded_link_ = degraded_link;
 }
 
@@ -102,10 +102,11 @@ real Session::probe_energy(index_t tx_beam, index_t rx_beam, index_t fades,
   ProbeView view;
   // A blockage event is a large-scale transition: once active, every probe
   // (training or recovery) sees the degraded link until the session ends.
-  view.link = (fault_plan_ != nullptr && fault_plan_->has_blockage() &&
-               fault_plan_->blockage_active(slot))
-                  ? degraded_link_
-                  : link_;
+  const fault::FaultPlan* plan = faults_.plan;
+  view.link =
+      (plan != nullptr && plan->has_blockage() && plan->blockage_active(slot))
+          ? degraded_link_
+          : link_;
   view.tx_codebook = tx_codebook_;
   view.rx_codebook = rx_codebook_;
   view.gamma = gamma_;
@@ -122,7 +123,7 @@ real Session::measure(index_t tx_beam, index_t rx_beam) {
 
   const index_t slot = records_.size();
   const fault::SlotFault slot_fault =
-      fault_plan_ != nullptr ? fault_plan_->slot(slot) : fault::SlotFault{};
+      faults_.plan != nullptr ? faults_.plan->slot(slot) : fault::SlotFault{};
   real energy = 0.0;
   if (slot_fault.dropped) {
     // Control-channel loss: the slot is spent and nothing is observed. No

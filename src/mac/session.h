@@ -4,7 +4,8 @@
 //
 // Ownership: a Session BORROWS the link, both codebooks, and the Rng (it
 // stores non-owning pointers); the caller must keep all four alive for the
-// session's lifetime. It OWNS its measurement records and ledger.
+// session's lifetime. It OWNS its measurement records, its ledger and its
+// run's fault tallies (fault::TrialFaultState; the plan inside is borrowed).
 //
 // Thread-safety: a Session is single-threaded by design — measure() mutates
 // the ledger and advances the borrowed Rng, so a session must be confined
@@ -98,6 +99,15 @@ class Session {
   void arm_faults(const fault::FaultPlan* plan,
                   const channel::Link* degraded_link);
 
+  /// The run's fault state for the degradation ladder: null until a plan
+  /// is armed, so a clean run's solves take the clean path; once armed,
+  /// every covariance solve a strategy makes on this session advances it.
+  fault::TrialFaultState* armed_faults() {
+    return faults_.plan != nullptr ? &faults_ : nullptr;
+  }
+  /// The armed plan and this run's solve tallies (all zero on a clean run).
+  const fault::TrialFaultState& fault_state() const { return faults_; }
+
   /// Performs one measurement and returns the observed energy |z|².
   /// Preconditions: budget not exhausted, indices valid, pair unmeasured.
   real measure(index_t tx_beam, index_t rx_beam);
@@ -164,8 +174,8 @@ class Session {
   index_t fades_;
   real blockage_probability_ = 0.0;
   std::vector<real> interference_;  ///< per-RX-beam power; empty = none
-  const fault::FaultPlan* fault_plan_ = nullptr;    ///< borrowed; may be null
-  const channel::Link* degraded_link_ = nullptr;    ///< borrowed; may be null
+  fault::TrialFaultState faults_;  ///< plan borrowed; null on a clean run
+  const channel::Link* degraded_link_ = nullptr;  ///< borrowed; may be null
   randgen::Rng* rng_;
   std::vector<MeasurementRecord> records_;
   std::vector<MeasurementRecord> recovery_records_;

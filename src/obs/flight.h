@@ -3,7 +3,7 @@
 // Full tracing (TraceCollector) costs memory per event and is therefore
 // opt-in; the flight recorder is its complement for hour-long serving runs:
 // every thread keeps only its last K spans in a fixed ring, so when an
-// anomaly fires — a quarantined trial, an outage burst, a watchdog trip —
+// anomaly fires — a quarantined trial or shard, a watchdog trip —
 // the moments leading up to it can be dumped as a Chrome-trace snapshot
 // without having traced the whole run.
 //

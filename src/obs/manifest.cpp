@@ -134,7 +134,7 @@ std::uint64_t peak_rss_bytes() {
 
 std::uint64_t current_rss_bytes() { return proc_status_bytes("VmRSS:"); }
 
-bool write_text_file(const std::string& path, const std::string& content) {
+std::FILE* open_output_file(const std::string& path) {
   const std::filesystem::path p(path);
   if (p.has_parent_path()) {
     std::error_code ec;
@@ -142,16 +142,21 @@ bool write_text_file(const std::string& path, const std::string& content) {
     if (ec) {
       std::fprintf(stderr, "note: could not create %s: %s\n",
                    p.parent_path().c_str(), ec.message().c_str());
-      return false;
+      return nullptr;
     }
   }
   std::FILE* f = std::fopen(path.c_str(), "w");
-  bool ok = f != nullptr;
-  if (ok) {
-    ok = std::fwrite(content.data(), 1, content.size(), f) == content.size();
-    // fclose flushes the buffered tail: a full disk may only show here.
-    ok = std::fclose(f) == 0 && ok;
-  }
+  if (f == nullptr)
+    std::fprintf(stderr, "note: could not open %s\n", path.c_str());
+  return f;
+}
+
+bool write_text_file(const std::string& path, const std::string& content) {
+  std::FILE* f = open_output_file(path);
+  if (f == nullptr) return false;
+  bool ok = std::fwrite(content.data(), 1, content.size(), f) == content.size();
+  // fclose flushes the buffered tail: a full disk may only show here.
+  ok = std::fclose(f) == 0 && ok;
   if (!ok) std::fprintf(stderr, "note: could not write %s\n", path.c_str());
   return ok;
 }

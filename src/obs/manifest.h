@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,6 +50,12 @@ class RunManifest {
   double wall_seconds_ = 0.0;
   std::string metrics_json_;
 };
+
+/// Opens `path` for writing (truncating it), creating parent directories
+/// on demand. Returns null (after printing a note to stderr) on failure.
+/// The one way obs output files are opened: write_text_file and
+/// TelemetrySink::open both call it.
+std::FILE* open_output_file(const std::string& path);
 
 /// Writes `content` to `path`, creating parent directories on demand.
 /// Returns false (after printing a note to stderr) on failure — telemetry

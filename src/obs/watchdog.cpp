@@ -67,8 +67,7 @@ void Watchdog::run(std::stop_token st) {
       stalled_.store(true, std::memory_order_relaxed);
       trips_.fetch_add(1, std::memory_order_relaxed);
       Registry::global().counter("obs.watchdog.trips").add();
-      if (config_.dump_flight_on_trip)
-        FlightRecorder::global().dump("watchdog_trip");
+      FlightRecorder::global().dump("watchdog_trip");
     }
 
     write_health(stalled_.load(std::memory_order_relaxed) ? "stalled" : "ok",

@@ -11,9 +11,9 @@
 // reports each epoch's duration via note_epoch_seconds() and the watchdog
 // trips when no progress lands within `stall_multiplier ×` the rolling
 // (EWMA) epoch time — floored at `min_stall_seconds` so startup and tiny
-// test configs don't false-trip. A trip optionally dumps the flight
-// recorder (the last K spans per thread are exactly the forensic record of
-// what each thread was doing when progress stopped), increments the
+// test configs don't false-trip. A trip dumps the flight recorder (the
+// last K spans per thread are exactly the forensic record of what each
+// thread was doing when progress stopped), increments the
 // "obs.watchdog.trips" counter, and flips the health status to "stalled";
 // progress resuming flips it back to "ok" (the trip count is sticky).
 //
@@ -44,7 +44,6 @@ struct WatchdogConfig {
   /// Threshold floor, so sub-millisecond epochs don't make the watchdog
   /// hair-triggered.
   double min_stall_seconds = 2.0;
-  bool dump_flight_on_trip = true;
 };
 
 class Watchdog {

@@ -1,10 +1,8 @@
 #include "serve/serve.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <sstream>
-#include <thread>
 
 #include "core/oracle.h"
 #include "estimation/beamspace.h"
@@ -12,6 +10,7 @@
 #include "mac/probe.h"
 #include "obs/clock.h"
 #include "obs/flight.h"
+#include "obs/json.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -160,16 +159,11 @@ ServingEngine::ServingEngine(ServeConfig config)
   if (!config_.telemetry.ndjson_path.empty())
     sink_.open(config_.telemetry.ndjson_path);
   if (config_.telemetry.watchdog) {
-    obs::WatchdogConfig wc;
-    wc.health_path = config_.telemetry.health_path;
-    wc.poll_seconds = config_.telemetry.watchdog_poll_seconds;
-    wc.stall_multiplier = config_.telemetry.watchdog_stall_multiplier;
-    wc.min_stall_seconds = config_.telemetry.watchdog_min_stall_seconds;
     // Progress = engine ticks (shards + epochs) plus the pool heartbeat, so
     // forward motion anywhere — even mid-shard task churn — resets the
     // stall clock. Reads only atomics; safe from the monitor thread.
     watchdog_ = std::make_unique<obs::Watchdog>(
-        wc,
+        *config_.telemetry.watchdog,
         [this] {
           return progress_.load(std::memory_order_relaxed) +
                  pool_.heartbeat();
@@ -325,9 +319,7 @@ void ServingEngine::step_align(index_t site, UserSession& s,
   spec.cursor_key = s.user_key;
   spec.cursor = s.cursor;
   spec.fades = sc.fades_per_measurement;
-  spec.fold = config_.estimator == EstimatorKind::kWarmMl
-                  ? track::SlotFold::kWarmMl
-                  : track::SlotFold::kBeamSpace;
+  spec.fold = config_.estimator;
   spec.noise_var = noise_var;
   mac::ProbeView view;
   view.link = &link;
@@ -410,7 +402,6 @@ EpochReport ServingEngine::step_epoch() {
   span.arg("epoch", static_cast<double>(epoch_));
   const obs::WallTimer epoch_timer;
   const index_t sites = pools_.size();
-  const TelemetryConfig& tc = config_.telemetry;
 
   // Phase 1 — churn, sharded by site (each site's pool and key counter are
   // touched by exactly one iteration).
@@ -429,12 +420,6 @@ EpochReport ServingEngine::step_epoch() {
   std::vector<MetricFrame> step_frames(shards_.size());
   const obs::WallTimer step_timer;
   auto step_one = [&](index_t i) {
-    // Watchdog test hook: a wall-clock sleep in the first shard of the
-    // chosen epoch. No Rng, no session state — results are untouched.
-    if (tc.stall_test_seconds > 0.0 && epoch_ == tc.stall_test_epoch &&
-        i == 0)
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(tc.stall_test_seconds));
     step_shard(shards_[i].first, shards_[i].second, step_frames[i]);
     progress_.fetch_add(1, std::memory_order_relaxed);
   };
@@ -473,19 +458,14 @@ EpochReport ServingEngine::step_epoch() {
   peak_live_ = std::max<std::uint64_t>(peak_live_, live_sessions());
   publish_obs(total);
 
-  // Telemetry plane: run-level digests, watchdog feed, outage-burst dump,
-  // NDJSON record. All observe-only.
+  // Telemetry plane: run-level digests, watchdog feed, NDJSON line. All
+  // observe-only.
   run_loss_digest_.merge(total.loss);
   const double epoch_seconds = epoch_timer.seconds();
   epoch_seconds_digest_.add(epoch_seconds);
   health_live_.store(live_sessions(), std::memory_order_relaxed);
   health_epoch_.store(epoch_, std::memory_order_relaxed);
   if (watchdog_) watchdog_->note_epoch_seconds(epoch_seconds);
-  if (tc.outage_burst_dump_threshold > 0 && !outage_burst_dumped_ &&
-      total.outages >= tc.outage_burst_dump_threshold) {
-    outage_burst_dumped_ = true;
-    obs::FlightRecorder::global().dump("outage_burst");
-  }
   emit_telemetry(r, epoch_seconds);
 
   progress_.fetch_add(1, std::memory_order_relaxed);
@@ -497,31 +477,10 @@ void ServingEngine::emit_telemetry(const EpochReport& report,
                                    double epoch_seconds) {
   if (!sink_.is_open()) return;
 
-  obs::TelemetryRecord rec;
-  rec.epoch = report.epoch;
-  rec.live_sessions = report.live_sessions;
-  rec.arrivals = report.arrivals;
-  rec.departures = report.departures;
-  rec.aligning_steps = report.aligning_steps;
-  rec.tracking_steps = report.tracking_steps;
-  rec.outages = report.outages;
-  rec.realignments = report.realignments;
-  rec.claims = report.claims;
-  rec.measurement_slots = report.measurement_slots;
-  rec.estimator_nonconverged = report.estimator_nonconverged;
-  rec.pool_resident_bytes = resident_bytes();
-  rec.pool_high_water_bytes = high_water_bytes();
-  rec.loss_count = report.loss_samples;
-  rec.loss_mean_db = report.mean_loss_db;
-  rec.loss_p50_db = report.p50_loss_db;
-  rec.loss_p90_db = report.p90_loss_db;
-  rec.loss_p99_db = report.p99_loss_db;
-  rec.loss_p999_db = report.p999_loss_db;
-  rec.loss_max_db = report.max_loss_db;
-
-  rec.epoch_seconds = epoch_seconds;
-  rec.epoch_seconds_p50 = epoch_seconds_digest_.quantile(0.50);
-  rec.epoch_seconds_p99 = epoch_seconds_digest_.quantile(0.99);
+  EpochTiming timing;
+  timing.epoch_seconds = epoch_seconds;
+  timing.epoch_seconds_p50 = epoch_seconds_digest_.quantile(0.50);
+  timing.epoch_seconds_p99 = epoch_seconds_digest_.quantile(0.99);
   // Pool utilization as per-epoch deltas of the core.pool.* counters (zero
   // while obs is disabled — the counters don't advance).
   const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
@@ -531,16 +490,17 @@ void ServingEngine::emit_telemetry(const EpochReport& report,
   };
   const std::uint64_t busy = counter_value("core.pool.busy_us");
   const std::uint64_t idle = counter_value("core.pool.idle_us");
-  rec.pool_busy_us = busy - std::min(busy, prev_pool_busy_us_);
-  rec.pool_idle_us = idle - std::min(idle, prev_pool_idle_us_);
+  timing.pool_busy_us = busy - std::min(busy, prev_pool_busy_us_);
+  timing.pool_idle_us = idle - std::min(idle, prev_pool_idle_us_);
   prev_pool_busy_us_ = busy;
   prev_pool_idle_us_ = idle;
-  rec.rss_bytes = obs::current_rss_bytes();
-  rec.arena_high_water_bytes =
+  timing.rss_bytes = obs::current_rss_bytes();
+  timing.arena_high_water_bytes =
       static_cast<std::uint64_t>(linalg::kernels::arena_high_water_bytes());
-  rec.flight_events = obs::FlightRecorder::global().event_count();
+  timing.flight_events = obs::FlightRecorder::global().event_count();
 
-  sink_.write(rec);
+  sink_.write(render_telemetry_line(report, resident_bytes(),
+                                    high_water_bytes(), &timing));
 }
 
 ServeResult ServingEngine::run() {
@@ -582,6 +542,71 @@ std::string render_serving_csv(const std::vector<EpochReport>& epochs) {
        << ',' << r.p99_loss_db << ',' << r.p999_loss_db << '\n';
   }
   return os.str();
+}
+
+std::string render_telemetry_line(const EpochReport& report,
+                                  std::uint64_t pool_resident_bytes,
+                                  std::uint64_t pool_high_water_bytes,
+                                  const EpochTiming* timing) {
+  obs::JsonWriter w;
+  const auto field = [&w](const char* key, auto value) {
+    w.key(key);
+    w.number(value);
+  };
+  w.begin_object();
+  w.key("schema");
+  w.string("mmw.telemetry/1");
+  field("epoch", report.epoch);
+
+  w.key("counters");
+  w.begin_object();
+  field("live_sessions", report.live_sessions);
+  field("arrivals", report.arrivals);
+  field("departures", report.departures);
+  field("aligning_steps", report.aligning_steps);
+  field("tracking_steps", report.tracking_steps);
+  field("outages", report.outages);
+  field("realignments", report.realignments);
+  field("claims", report.claims);
+  field("measurement_slots", report.measurement_slots);
+  field("estimator_nonconverged", report.estimator_nonconverged);
+  w.end_object();
+
+  w.key("memory");
+  w.begin_object();
+  field("pool_resident_bytes", pool_resident_bytes);
+  field("pool_high_water_bytes", pool_high_water_bytes);
+  w.end_object();
+
+  w.key("loss_db");
+  w.begin_object();
+  field("count", report.loss_samples);
+  field("mean", report.mean_loss_db);
+  field("p50", report.p50_loss_db);
+  field("p90", report.p90_loss_db);
+  field("p99", report.p99_loss_db);
+  field("p999", report.p999_loss_db);
+  field("max", report.max_loss_db);
+  w.end_object();
+
+  // "timing" must stay the last key: the determinism gate strips it by
+  // truncating the serialized line at `,"timing":`.
+  if (timing != nullptr) {
+    w.key("timing");
+    w.begin_object();
+    field("epoch_seconds", timing->epoch_seconds);
+    field("epoch_seconds_p50", timing->epoch_seconds_p50);
+    field("epoch_seconds_p99", timing->epoch_seconds_p99);
+    field("pool_busy_us", timing->pool_busy_us);
+    field("pool_idle_us", timing->pool_idle_us);
+    field("rss_bytes", timing->rss_bytes);
+    field("arena_high_water_bytes", timing->arena_high_water_bytes);
+    field("flight_events", timing->flight_events);
+    w.end_object();
+  }
+
+  w.end_object();
+  return std::move(w).str();
 }
 
 }  // namespace mmw::serve

@@ -42,6 +42,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,39 +58,21 @@
 namespace mmw::serve {
 
 /// How an aligning session turns a slot's probe energies into its resident
-/// beam-space covariance.
-enum class EstimatorKind {
-  /// Moment excess (energy − noise)₊ per probed beam, merged with
-  /// exponential forgetting — allocation-light, the serving default.
-  kBeamSpace,
-  /// Per-slot regularized ML solve warm-started from the resident prior,
-  /// compressed back to beam space (estimation::fold_warm_ml). The
-  /// paper-faithful estimator; ~10× the alignment-slot cost.
-  kWarmMl,
-};
+/// beam-space covariance: track::align_slot's fold. kBeamSpace (the
+/// moment excess merged with forgetting, allocation-light) is the serving
+/// default; kWarmMl (a per-slot regularized ML solve warm-started from the
+/// resident prior, estimation::fold_warm_ml) is the paper-faithful one at
+/// ~10× the alignment-slot cost.
+using EstimatorKind = track::SlotFold;
 
 /// Live-telemetry knobs (DESIGN.md §14). All of it only OBSERVES: enabling
 /// any field cannot change engine results (the CSV-equality contract).
 struct TelemetryConfig {
   /// Per-epoch NDJSON export path (schema mmw.telemetry/1); "" disables.
   std::string ndjson_path;
-  /// health.json path for the watchdog; "" disables the file.
-  std::string health_path;
-  /// Run the stall-detection monitor thread.
-  bool watchdog = false;
-  double watchdog_poll_seconds = 0.25;
-  double watchdog_stall_multiplier = 8.0;
-  double watchdog_min_stall_seconds = 2.0;
-  /// Dump a flight-recorder snapshot when one epoch's outage count reaches
-  /// this threshold (first burst only; 0 disables).
-  std::uint64_t outage_burst_dump_threshold = 0;
-
-  /// Test hook: sleep this long inside the FIRST step shard of epoch
-  /// `stall_test_epoch` (0 disables). Wall-clock only — it never touches
-  /// an Rng or session state, so results stay byte-identical; exists so
-  /// watchdog trips are testable without a real deadlock.
-  double stall_test_seconds = 0.0;
-  index_t stall_test_epoch = 0;
+  /// The stall-detection monitor thread and its health.json; nullopt runs
+  /// none. A trip dumps the flight recorder.
+  std::optional<obs::WatchdogConfig> watchdog;
 };
 
 struct ServeConfig {
@@ -135,10 +118,12 @@ struct ServeConfig {
   TelemetryConfig telemetry;
 };
 
-/// Streaming per-epoch aggregate (merged MetricFrames; O(1) memory).
-/// Loss quantiles come from the shard-merged QuantileDigest, so the tail
-/// (p99/p999) is resolved to ~1/(2·256) rank error rather than histogram
-/// bucket bounds; all fields are deterministic across thread counts.
+/// Streaming per-epoch aggregate (merged MetricFrames; O(1) memory) and
+/// the one per-epoch record: the E9 CSV row and the counters and loss_db
+/// objects of the telemetry line are rendered from it. Loss quantiles come
+/// from the shard-merged QuantileDigest, so the tail (p99/p999) is
+/// resolved to ~1/(2·256) rank error rather than histogram bucket bounds;
+/// all fields are deterministic across thread counts.
 struct EpochReport {
   index_t epoch = 0;
   std::uint64_t live_sessions = 0;  ///< after churn, i.e. sessions stepped
@@ -158,6 +143,19 @@ struct EpochReport {
   real p99_loss_db = 0.0;
   real p999_loss_db = 0.0;
   real max_loss_db = 0.0;
+};
+
+/// Wall-clock and process readings of one epoch: the "timing" object of
+/// its telemetry line, outside every determinism comparison.
+struct EpochTiming {
+  double epoch_seconds = 0.0;
+  double epoch_seconds_p50 = 0.0;  ///< rolling, over epochs so far
+  double epoch_seconds_p99 = 0.0;
+  std::uint64_t pool_busy_us = 0;  ///< this epoch's delta
+  std::uint64_t pool_idle_us = 0;
+  std::uint64_t rss_bytes = 0;
+  std::uint64_t arena_high_water_bytes = 0;
+  std::uint64_t flight_events = 0;
 };
 
 struct ServeResult {
@@ -194,7 +192,7 @@ class ServingEngine {
   /// Runs config.epochs ticks and returns the streamed reports + totals.
   ServeResult run();
 
-  /// The watchdog, when config.telemetry.watchdog is set (else nullptr).
+  /// The watchdog, when config.telemetry.watchdog holds one (else null).
   /// Started in the constructor, stopped at destruction.
   const obs::Watchdog* watchdog() const { return watchdog_.get(); }
 
@@ -270,7 +268,6 @@ class ServingEngine {
   /// per-epoch deltas in the timing sub-object.
   std::uint64_t prev_pool_busy_us_ = 0;
   std::uint64_t prev_pool_idle_us_ = 0;
-  bool outage_burst_dumped_ = false;  ///< first-burst latch
   /// Last member: its monitor thread reads the atomics above (and the
   /// pool's heartbeat), so it must stop before anything else destructs.
   std::unique_ptr<obs::Watchdog> watchdog_;
@@ -279,5 +276,17 @@ class ServingEngine {
 /// Renders epoch reports as the E9 CSV (fixed 6-digit reals — the byte
 /// format the determinism tests compare).
 std::string render_serving_csv(const std::vector<EpochReport>& epochs);
+
+/// Renders one epoch as a mmw.telemetry/1 line (DESIGN.md §14; no trailing
+/// newline): "schema", "epoch", then the "counters", "memory" (the pools'
+/// resident and high-water bytes) and "loss_db" objects, all deterministic,
+/// and — when `timing` is given — the "timing" object as the LAST key, so a
+/// comparison strips wall time by truncating the line at `,"timing":` and
+/// closing the brace. That truncation equals the line rendered without
+/// timing.
+std::string render_telemetry_line(const EpochReport& report,
+                                  std::uint64_t pool_resident_bytes,
+                                  std::uint64_t pool_high_water_bytes,
+                                  const EpochTiming* timing);
 
 }  // namespace mmw::serve

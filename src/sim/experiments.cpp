@@ -44,8 +44,7 @@ SummaryTable run_trials(
         mine.reserve(strategies.size());
         for (const auto* strategy : strategies)
           run_strategy(*strategy, scenario, trial, budget, trial_rng,
-                       [&](const mac::Session& session,
-                           const fault::TrialFaultState&) {
+                       [&](const mac::Session& session) {
                          mine.push_back(grade(ctx, session));
                        });
       });

@@ -196,7 +196,7 @@ MultiCellResult run_multicell(
       for (const auto* strategy : strategies)
         run_strategy(
             *strategy, sc, trial_link, budget, rng,
-            [&](const mac::Session& session, const fault::TrialFaultState&) {
+            [&](const mac::Session& session) {
               const index_t graded = std::min<index_t>(
                   grade_budget, session.records().size());
               out.loss_db.push_back(

@@ -74,7 +74,7 @@ std::vector<FaultCaseResult> run_fault_robustness(
       for (const auto* strategy : strategies)
         run_strategy(
             *strategy, sc, trial, budget, trial_rng,
-            [&](mac::Session& session, const fault::TrialFaultState& tallies) {
+            [&](mac::Session& session) {
               const mac::Session::RealignmentReport report =
                   session.verify_and_realign();
               RunOutcome out;
@@ -83,8 +83,8 @@ std::vector<FaultCaseResult> run_fault_robustness(
               out.recovery_slots = session.recovery_slots();
               out.loss_db =
                   grade_oracle.loss_db(report.tx_beam, report.rx_beam);
-              out.rung_counts = tallies.rung_counts;
-              out.stressed_solves = tallies.stressed_solves;
+              out.rung_counts = session.fault_state().rung_counts;
+              out.stressed_solves = session.fault_state().stressed_solves;
               mine.push_back(out);
             });
     };

@@ -19,7 +19,6 @@
 #include "channel/models.h"
 #include "core/oracle.h"
 #include "core/strategy.h"
-#include "fault/context.h"
 #include "fault/fault.h"
 #include "mac/session.h"
 
@@ -166,9 +165,9 @@ struct TrialLink {
 /// Runs `strategy` on a fresh mac::Session over `trial` with `budget` slots
 /// and the scenario's γ and fades, drawing from rng.fork() — one fork per
 /// call, so a trial's runs fork in strategy order. Under faults the plan is
-/// armed on the session and a fault context is scoped around the run and
-/// the grading. Then calls grade(session, tallies) with the live session
-/// and the run's fault tallies (rung histogram, stressed solves).
+/// armed on the session, which then keeps the run's fault tallies (rung
+/// histogram, stressed solves; Session::fault_state). Then calls
+/// grade(session) with the live session.
 template <typename Grade>
 void run_strategy(const core::AlignmentStrategy& strategy,
                   const Scenario& scenario, const TrialLink& trial,
@@ -179,16 +178,12 @@ void run_strategy(const core::AlignmentStrategy& strategy,
   if (!trial.interference.empty())
     session.set_interference(
         {trial.interference.begin(), trial.interference.end()});
-  fault::TrialFaultState tallies;
-  std::optional<fault::ScopedTrialFaults> scope;
   if (trial.faults != nullptr) {
     const auto& degraded = trial.faults->degraded;
     session.arm_faults(&trial.faults->plan, degraded ? &*degraded : nullptr);
-    tallies.plan = &trial.faults->plan;
-    scope.emplace(tallies);
   }
   strategy.run(session);
-  grade(session, tallies);
+  grade(session);
 }
 
 /// Which shards of a run_shards call were quarantined.

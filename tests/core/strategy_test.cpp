@@ -189,6 +189,36 @@ TEST(ProposedTest, BeatsRandomOnAverage) {
   EXPECT_LT(proposed_loss, random_loss);
 }
 
+TEST(ProposedTest, SolvesAdvanceTheSessionsFaultState) {
+  // Proposed and PingPong hand every covariance solve the session's own
+  // fault state: the scripted stress of solve 0 is tallied there, and
+  // every solve lands in the session's rung histogram. A clean session's
+  // tallies stay zero.
+  const ProposedAlignment proposed;
+  const PingPongAlignment ping_pong;
+  for (const AlignmentStrategy* strategy :
+       {static_cast<const AlignmentStrategy*>(&proposed),
+        static_cast<const AlignmentStrategy*>(&ping_pong)}) {
+    Fixture f;
+    const fault::FaultPlan plan =
+        fault::FaultPlan::scripted({}, ~index_t{0}, {}, {true});
+    Session armed = f.session(32);
+    armed.arm_faults(&plan, nullptr);
+    strategy->run(armed);
+    const fault::TrialFaultState& st = armed.fault_state();
+    EXPECT_GT(st.solves, 1u) << strategy->name();
+    EXPECT_EQ(st.stressed_solves, 1u) << strategy->name();
+    std::uint64_t landed = 0;
+    for (const std::uint64_t c : st.rung_counts) landed += c;
+    EXPECT_EQ(landed, st.solves) << strategy->name();
+    EXPECT_LT(st.rung_counts[0], st.solves) << strategy->name();
+
+    Session clean = f.session(32);
+    strategy->run(clean);
+    EXPECT_EQ(clean.fault_state().solves, 0u) << strategy->name();
+  }
+}
+
 TEST(HierarchicalTest, SpendsBudgetWithoutDuplicates) {
   Fixture f;
   Session s = f.session(40);

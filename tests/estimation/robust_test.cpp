@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "fault/context.h"
 #include "linalg/functions.h"
 #include "randgen/rng.h"
 
@@ -69,12 +68,12 @@ void expect_same_dense(const linalg::FactoredHermitian& a,
 }
 
 TEST(RobustEstimateTest, UnarmedIsBitIdenticalToDirectMl) {
-  // The golden-figure contract: with no fault context armed, the ladder
-  // wrapper must return EXACTLY what the direct estimator call returns.
+  // The golden-figure contract: with no fault state (a clean run), the
+  // ladder wrapper must return EXACTLY what the direct estimator call
+  // returns.
   Fixture f;
-  ASSERT_EQ(fault::current_trial_faults(), nullptr);
   const RobustEstimateResult r = robust_estimate_covariance(
-      f.n, f.ms, f.options, EstimatorKind::kRegularizedMl);
+      f.n, f.ms, f.options, EstimatorKind::kRegularizedMl, nullptr);
   EXPECT_EQ(r.rung, SolveRung::kPrimary);
   EXPECT_EQ(r.primary_status, SolveStatus::kOk);
   const CovarianceMlResult direct =
@@ -85,7 +84,7 @@ TEST(RobustEstimateTest, UnarmedIsBitIdenticalToDirectMl) {
 TEST(RobustEstimateTest, UnarmedIsBitIdenticalToDirectEm) {
   Fixture f;
   const RobustEstimateResult r = robust_estimate_covariance(
-      f.n, f.ms, f.options, EstimatorKind::kEmMl);
+      f.n, f.ms, f.options, EstimatorKind::kEmMl, nullptr);
   EXPECT_EQ(r.rung, SolveRung::kPrimary);
   CovarianceEmOptions em;
   em.gamma = f.options.gamma;
@@ -96,12 +95,12 @@ TEST(RobustEstimateTest, UnarmedIsBitIdenticalToDirectEm) {
 TEST(RobustEstimateTest, UnarmedIsBitIdenticalToBaselines) {
   Fixture f;
   const RobustEstimateResult sample = robust_estimate_covariance(
-      f.n, f.ms, f.options, EstimatorKind::kSampleCovariance);
+      f.n, f.ms, f.options, EstimatorKind::kSampleCovariance, nullptr);
   expect_same_dense(sample.q,
                     linalg::FactoredHermitian::from_dense(
                         sample_covariance_estimate(f.n, f.ms, f.gamma)));
   const RobustEstimateResult diag = robust_estimate_covariance(
-      f.n, f.ms, f.options, EstimatorKind::kDiagonalLoading);
+      f.n, f.ms, f.options, EstimatorKind::kDiagonalLoading, nullptr);
   expect_same_dense(diag.q,
                     linalg::FactoredHermitian::from_dense(
                         diagonal_loading_estimate(f.n, f.ms, f.gamma)));
@@ -113,7 +112,7 @@ TEST(RobustEstimateTest, UnarmedAcceptsNonconvergedPrimary) {
   Fixture f;
   f.options.max_iterations = 1;  // will not converge in one step
   const RobustEstimateResult r = robust_estimate_covariance(
-      f.n, f.ms, f.options, EstimatorKind::kRegularizedMl);
+      f.n, f.ms, f.options, EstimatorKind::kRegularizedMl, nullptr);
   EXPECT_EQ(r.rung, SolveRung::kPrimary);
   EXPECT_EQ(r.primary_status, SolveStatus::kOk);
   expect_same_dense(r.q, estimate_covariance_ml(f.n, f.ms, f.options).q);
@@ -129,10 +128,9 @@ TEST(RobustEstimateTest, StressedSolveEngagesLadder) {
       fault::FaultPlan::scripted({}, ~index_t{0}, {}, {true, false});
   fault::TrialFaultState state;
   state.plan = &plan;
-  fault::ScopedTrialFaults guard(state);
 
   const RobustEstimateResult stressed = robust_estimate_covariance(
-      f.n, f.ms, f.options, EstimatorKind::kRegularizedMl);
+      f.n, f.ms, f.options, EstimatorKind::kRegularizedMl, &state);
   EXPECT_EQ(stressed.primary_status, SolveStatus::kStressed);
   EXPECT_NE(stressed.rung, SolveRung::kPrimary);
   EXPECT_TRUE(std::isfinite(stressed.q.trace()));
@@ -140,7 +138,7 @@ TEST(RobustEstimateTest, StressedSolveEngagesLadder) {
   EXPECT_EQ(state.stressed_solves, 1u);
 
   const RobustEstimateResult clean = robust_estimate_covariance(
-      f.n, f.ms, f.options, EstimatorKind::kRegularizedMl);
+      f.n, f.ms, f.options, EstimatorKind::kRegularizedMl, &state);
   EXPECT_EQ(clean.primary_status, SolveStatus::kOk);
   EXPECT_EQ(clean.rung, SolveRung::kPrimary);
   EXPECT_EQ(state.solves, 2u);
@@ -161,9 +159,8 @@ TEST(RobustEstimateTest, StressedBaselineKindFallsToUniform) {
       fault::FaultPlan::scripted({}, ~index_t{0}, {}, {true});
   fault::TrialFaultState state;
   state.plan = &plan;
-  fault::ScopedTrialFaults guard(state);
   const RobustEstimateResult r = robust_estimate_covariance(
-      f.n, f.ms, f.options, EstimatorKind::kSampleCovariance);
+      f.n, f.ms, f.options, EstimatorKind::kSampleCovariance, &state);
   EXPECT_EQ(r.rung, SolveRung::kUniform);
   // Uniform rung: scaled identity — off-diagonals exactly zero.
   const Matrix d = r.q.dense();
@@ -177,14 +174,13 @@ TEST(RobustEstimateTest, StressedBaselineKindFallsToUniform) {
 }
 
 TEST(RobustEstimateTest, ArmedWithoutPlanBehavesCleanly) {
-  // An armed context with a null plan counts solves but stresses nothing:
+  // A fault state with a null plan counts solves but stresses nothing:
   // a converged primary stays on the primary rung.
   Fixture f;
   f.options.max_iterations = 5000;  // rule out nonconvergence-driven rungs
   fault::TrialFaultState state;  // plan stays null
-  fault::ScopedTrialFaults guard(state);
   const RobustEstimateResult r = robust_estimate_covariance(
-      f.n, f.ms, f.options, EstimatorKind::kRegularizedMl);
+      f.n, f.ms, f.options, EstimatorKind::kRegularizedMl, &state);
   EXPECT_EQ(r.rung, SolveRung::kPrimary);
   EXPECT_EQ(state.solves, 1u);
   EXPECT_EQ(state.stressed_solves, 0u);

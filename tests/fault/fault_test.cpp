@@ -4,8 +4,6 @@
 
 #include <cmath>
 
-#include "fault/context.h"
-
 namespace mmw::fault {
 namespace {
 
@@ -169,22 +167,6 @@ TEST(FaultPlanTest, ScriptedPlanRoundTrips) {
   EXPECT_TRUE(plan.solve_stressed(1));
   EXPECT_FALSE(plan.solve_stressed(2));
   EXPECT_FALSE(plan.solve_stressed(99));
-}
-
-TEST(FaultContextTest, ScopedArmAndRestore) {
-  EXPECT_EQ(current_trial_faults(), nullptr);
-  TrialFaultState outer;
-  {
-    ScopedTrialFaults guard(outer);
-    EXPECT_EQ(current_trial_faults(), &outer);
-    TrialFaultState inner;
-    {
-      ScopedTrialFaults nested(inner);
-      EXPECT_EQ(current_trial_faults(), &inner);
-    }
-    EXPECT_EQ(current_trial_faults(), &outer);
-  }
-  EXPECT_EQ(current_trial_faults(), nullptr);
 }
 
 }  // namespace

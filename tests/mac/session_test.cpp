@@ -228,6 +228,22 @@ TEST(SessionFaultTest, ArmFaultsValidation) {
   }
 }
 
+TEST(SessionFaultTest, FaultStateIsArmedOnlyWithAPlan) {
+  Fixture f;
+  Session s = f.session();
+  // Clean run: the ladder gets no state, and the tallies read zero.
+  EXPECT_EQ(s.armed_faults(), nullptr);
+  EXPECT_EQ(s.fault_state().plan, nullptr);
+  EXPECT_EQ(s.fault_state().solves, 0u);
+
+  const fault::FaultPlan plan;
+  s.arm_faults(&plan, nullptr);
+  fault::TrialFaultState* state = s.armed_faults();
+  ASSERT_NE(state, nullptr);
+  EXPECT_EQ(state, &s.fault_state());  // the session's own tallies
+  EXPECT_EQ(state->plan, &plan);       // the plan is stored once, borrowed
+}
+
 TEST(SessionFaultTest, DroppedSlotRecordsZeroAndConsumesNoDraws) {
   Fixture f;
   std::vector<fault::SlotFault> slots(3);

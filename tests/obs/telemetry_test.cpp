@@ -1,5 +1,6 @@
-// TelemetryRecord / TelemetrySink tests: schema shape, the timing-last
-// contract that the determinism gate depends on, and NDJSON sink behavior.
+// TelemetrySink tests: NDJSON line output, parent creation, failure and
+// reopen behaviour. The line format itself is tested with its renderer,
+// serve::render_telemetry_line (tests/serve/serve_test.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,92 +22,10 @@ std::string slurp(const fs::path& p) {
   return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
-TelemetryRecord sample_record() {
-  TelemetryRecord r;
-  r.epoch = 17;
-  r.live_sessions = 100'000;
-  r.arrivals = 512;
-  r.departures = 498;
-  r.aligning_steps = 2048;
-  r.tracking_steps = 97'952;
-  r.outages = 33;
-  r.realignments = 21;
-  r.claims = 640;
-  r.measurement_slots = 81'920;
-  r.estimator_nonconverged = 2;
-  r.pool_resident_bytes = 1'234'567;
-  r.pool_high_water_bytes = 2'345'678;
-  r.loss_count = 97'952;
-  r.loss_mean_db = -1.25;
-  r.loss_p50_db = -1.5;
-  r.loss_p90_db = -0.5;
-  r.loss_p99_db = 0.75;
-  r.loss_p999_db = 2.5;
-  r.loss_max_db = 6.0;
-  r.epoch_seconds = 0.123;
-  r.epoch_seconds_p50 = 0.1;
-  r.epoch_seconds_p99 = 0.3;
-  r.pool_busy_us = 4000;
-  r.pool_idle_us = 1000;
-  r.rss_bytes = 99'999'999;
-  r.arena_high_water_bytes = 42'000;
-  r.flight_events = 77;
-  return r;
-}
-
-TEST(TelemetryRecordTest, JsonLeadsWithSchemaAndGroupsFields) {
-  const std::string json = sample_record().to_json();
-  EXPECT_EQ(json.rfind("{\"schema\":\"mmw.telemetry/1\",\"epoch\":17,", 0),
-            0u);
-  EXPECT_NE(json.find("\"counters\":{\"live_sessions\":100000,"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"estimator_nonconverged\":2}"), std::string::npos);
-  EXPECT_NE(json.find("\"memory\":{\"pool_resident_bytes\":1234567,"
-                      "\"pool_high_water_bytes\":2345678}"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"loss_db\":{\"count\":97952,\"mean\":-1.25,"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"p999\":2.5,\"max\":6}"), std::string::npos);
-  EXPECT_NE(json.find("\"timing\":{\"epoch_seconds\":0.123,"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"flight_events\":77}"), std::string::npos);
-}
-
-TEST(TelemetryRecordTest, TimingIsTheLastKey) {
-  const std::string json = sample_record().to_json(true);
-  const auto pos = json.find(",\"timing\":{");
-  ASSERT_NE(pos, std::string::npos);
-  // The timing object runs to the end of the record: "...}}" closes timing
-  // and then the record itself, with no sibling key in between.
-  EXPECT_EQ(json.substr(json.size() - 2), "}}");
-  const std::string tail = json.substr(pos + 1);
-  EXPECT_EQ(tail.find("},\""), std::string::npos)
-      << "a key follows the timing object";
-}
-
-TEST(TelemetryRecordTest, TruncatingAtTimingEqualsExcludingIt) {
-  // THE contract the CI determinism gate and telemetry_report.py rely on:
-  // stripping wall-time is a string truncation, no JSON parser needed.
-  const TelemetryRecord r = sample_record();
-  const std::string with = r.to_json(true);
-  const std::string without = r.to_json(false);
-  const auto pos = with.find(",\"timing\":");
-  ASSERT_NE(pos, std::string::npos);
-  EXPECT_EQ(with.substr(0, pos) + "}", without);
-}
-
-TEST(TelemetryRecordTest, TimingDoesNotLeakIntoDeterministicPrefix) {
-  TelemetryRecord a = sample_record();
-  TelemetryRecord b = sample_record();
-  // Perturb ONLY timing fields: the deterministic prefix must not move.
-  b.epoch_seconds = 9.87;
-  b.pool_busy_us = 1;
-  b.pool_idle_us = 999'999;
-  b.rss_bytes = 1;
-  b.arena_high_water_bytes = 0;
-  b.flight_events = 0;
-  EXPECT_NE(a.to_json(true), b.to_json(true));
-  EXPECT_EQ(a.to_json(false), b.to_json(false));
+/// A stand-in line of epoch `epoch`; the sink never looks inside it.
+std::string sample_line(int epoch) {
+  return "{\"schema\":\"mmw.telemetry/1\",\"epoch\":" +
+         std::to_string(epoch) + ",\"counters\":{\"live_sessions\":3}}";
 }
 
 TEST(TelemetrySinkTest, WritesOneLinePerRecordAndCreatesParents) {
@@ -118,10 +37,8 @@ TEST(TelemetrySinkTest, WritesOneLinePerRecordAndCreatesParents) {
   TelemetrySink sink;
   ASSERT_TRUE(sink.open(path.string()));
   EXPECT_TRUE(sink.is_open());
-  TelemetryRecord r = sample_record();
-  sink.write(r);
-  r.epoch = 18;
-  sink.write(r);
+  sink.write(sample_line(17));
+  sink.write(sample_line(18));
   EXPECT_EQ(sink.records_written(), 2u);
   sink.close();
   EXPECT_FALSE(sink.is_open());
@@ -150,7 +67,7 @@ TEST(TelemetrySinkTest, WritesOneLinePerRecordAndCreatesParents) {
 TEST(TelemetrySinkTest, ClosedSinkIsANoOp) {
   TelemetrySink sink;
   EXPECT_FALSE(sink.is_open());
-  sink.write(sample_record());  // must not crash
+  sink.write(sample_line(0));  // must not crash
   EXPECT_EQ(sink.records_written(), 0u);
   sink.close();  // idempotent
 }
@@ -174,10 +91,10 @@ TEST(TelemetrySinkTest, ReopenTruncates) {
       fs::temp_directory_path() / "mmw_telemetry_reopen.ndjson";
   TelemetrySink sink;
   ASSERT_TRUE(sink.open(path.string()));
-  sink.write(sample_record());
-  sink.write(sample_record());
+  sink.write(sample_line(0));
+  sink.write(sample_line(1));
   ASSERT_TRUE(sink.open(path.string()));  // open() closes and truncates
-  sink.write(sample_record());
+  sink.write(sample_line(2));
   sink.close();
   const std::string body = slurp(path);
   EXPECT_EQ(std::count(body.begin(), body.end(), '\n'), 1);

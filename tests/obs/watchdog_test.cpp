@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/flight.h"
 #include "obs/watchdog.h"
 
 namespace mmw::obs {
@@ -34,17 +35,33 @@ fs::path health_file(const char* tag) {
 }
 
 /// Tight polling config so tests finish in tens of milliseconds: threshold
-/// floor 50 ms, poll every 5 ms, no flight dump (keeps the process-global
-/// dump budget for the tests that assert on it).
+/// floor 50 ms, poll every 5 ms.
 WatchdogConfig fast_config(std::string health_path) {
   WatchdogConfig cfg;
   cfg.health_path = std::move(health_path);
   cfg.poll_seconds = 0.005;
   cfg.stall_multiplier = 8.0;
   cfg.min_stall_seconds = 0.05;
-  cfg.dump_flight_on_trip = false;
   return cfg;
 }
+
+/// Every trip dumps the global flight recorder; the fixture sends those
+/// dumps to a scratch directory instead of the working directory's
+/// bench_results/.
+class WatchdogTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    fs::create_directories(dumps_);
+    FlightRecorder::global().set_dump_directory(dumps_.string());
+  }
+  void TearDown() override {
+    FlightRecorder::global().set_dump_directory("bench_results");
+    fs::remove_all(dumps_);
+  }
+
+  const fs::path dumps_ =
+      fs::temp_directory_path() / "mmw_watchdog_test" / "flight";
+};
 
 /// Spin until `pred` holds or `deadline` elapses; returns pred's final
 /// state. Timing-dependent assertions use generous deadlines so loaded CI
@@ -59,7 +76,7 @@ bool eventually(Pred pred, std::chrono::milliseconds deadline = 5000ms) {
   return pred();
 }
 
-TEST(WatchdogTest, NoTripWhileProgressFlows) {
+TEST_F(WatchdogTest, NoTripWhileProgressFlows) {
   std::atomic<std::uint64_t> progress{0};
   Watchdog dog(fast_config(""),
                [&] { return progress.fetch_add(1) + 1; });
@@ -70,7 +87,8 @@ TEST(WatchdogTest, NoTripWhileProgressFlows) {
   dog.stop();
 }
 
-TEST(WatchdogTest, FrozenProgressTripsOnce) {
+TEST_F(WatchdogTest, FrozenProgressTripsOnce) {
+  const std::uint64_t dumps = FlightRecorder::global().dump_count();
   std::atomic<std::uint64_t> progress{7};  // never advances
   Watchdog dog(fast_config(""), [&] { return progress.load(); });
   ASSERT_TRUE(eventually([&] { return dog.tripped(); }));
@@ -80,9 +98,13 @@ TEST(WatchdogTest, FrozenProgressTripsOnce) {
   std::this_thread::sleep_for(100ms);
   EXPECT_EQ(dog.trips(), 1u);
   dog.stop();
+  // The trip dumped the flight recorder once, below the dump cap.
+  if (dumps < FlightRecorder::kMaxDumps) {
+    EXPECT_EQ(FlightRecorder::global().dump_count(), dumps + 1);
+  }
 }
 
-TEST(WatchdogTest, ProgressResumingClearsStalledButTripsStick) {
+TEST_F(WatchdogTest, ProgressResumingClearsStalledButTripsStick) {
   std::atomic<std::uint64_t> progress{0};
   Watchdog dog(fast_config(""), [&] { return progress.load(); });
   ASSERT_TRUE(eventually([&] { return dog.stalled(); }));
@@ -100,7 +122,7 @@ TEST(WatchdogTest, ProgressResumingClearsStalledButTripsStick) {
   dog.stop();
 }
 
-TEST(WatchdogTest, ThresholdTracksEpochTimeWithFloor) {
+TEST_F(WatchdogTest, ThresholdTracksEpochTimeWithFloor) {
   WatchdogConfig cfg = fast_config("");
   cfg.min_stall_seconds = 2.0;
   cfg.stall_multiplier = 8.0;
@@ -127,7 +149,7 @@ TEST(WatchdogTest, ThresholdTracksEpochTimeWithFloor) {
   dog.stop();
 }
 
-TEST(WatchdogTest, HealthFileIsWrittenAndWellFormed) {
+TEST_F(WatchdogTest, HealthFileIsWrittenAndWellFormed) {
   const fs::path path = health_file("ok");
   std::atomic<std::uint64_t> progress{0};
   Watchdog dog(fast_config(path.string()),
@@ -163,7 +185,7 @@ TEST(WatchdogTest, HealthFileIsWrittenAndWellFormed) {
   fs::remove(path);
 }
 
-TEST(WatchdogTest, HealthFileReportsStalled) {
+TEST_F(WatchdogTest, HealthFileReportsStalled) {
   const fs::path path = health_file("stalled");
   std::atomic<std::uint64_t> progress{1};  // frozen
   Watchdog dog(fast_config(path.string()), [&] { return progress.load(); });
@@ -176,7 +198,7 @@ TEST(WatchdogTest, HealthFileReportsStalled) {
   fs::remove(path);
 }
 
-TEST(WatchdogTest, StopIsIdempotentAndDestructorStops) {
+TEST_F(WatchdogTest, StopIsIdempotentAndDestructorStops) {
   std::atomic<std::uint64_t> progress{0};
   {
     Watchdog dog(fast_config(""), [&] { return progress.fetch_add(1) + 1; });

@@ -24,8 +24,8 @@ TEST(WriteErrorsTest, TelemetrySinkCountsOnlyWrittenRecords) {
     GTEST_SKIP() << kFullDevice << " is not available";
   TelemetrySink sink;
   ASSERT_TRUE(sink.open(kFullDevice));
-  sink.write(TelemetryRecord{});
-  sink.write(TelemetryRecord{});
+  sink.write("{}");
+  sink.write("{}");
   EXPECT_EQ(sink.records_written(), 0u);
 }
 

@@ -40,10 +40,9 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace mmw::serve {
 namespace {
 
-/// Allocations of one epoch in which every one of `sessions` sessions
-/// takes the tracking fast path: 4 sites with one slab each, one alignment
-/// slot per session, 64 fades per verify probe so no pair collapses.
-std::uint64_t tracking_epoch_allocations(index_t sessions) {
+/// 4 sites with one slab each, one alignment slot per session, 64 fades
+/// per verify probe so no pair collapses.
+ServeConfig tracking_config(index_t sessions) {
   ServeConfig cfg;
   cfg.scenario.channel = sim::ChannelKind::kSinglePath;
   cfg.scenario.tx_grid_x = 2;
@@ -60,7 +59,13 @@ std::uint64_t tracking_epoch_allocations(index_t sessions) {
   cfg.probes_per_slot = 3;
   cfg.track_fades = 64;
   cfg.session_block = sessions / 4;
-  ServingEngine engine(cfg);
+  return cfg;
+}
+
+/// Allocations of one epoch in which every one of `sessions` sessions
+/// takes the tracking fast path.
+std::uint64_t tracking_epoch_allocations(index_t sessions) {
+  ServingEngine engine(tracking_config(sessions));
   const EpochReport aligned = engine.step_epoch();
   EXPECT_EQ(aligned.claims, sessions);
 

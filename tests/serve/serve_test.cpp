@@ -14,11 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/flight.h"
@@ -219,8 +221,8 @@ TEST(ServingEngine, EpochReportsAreStreamedNotResident) {
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry plane (DESIGN.md §14): NDJSON determinism, quantile sanity,
-// anomaly-triggered flight dumps, and the watchdog.
+// Telemetry plane (DESIGN.md §14): the line format, NDJSON determinism,
+// quantile sanity, and the watchdog.
 
 namespace fs = std::filesystem;
 
@@ -233,6 +235,107 @@ fs::path telemetry_dir() {
   const fs::path dir = fs::temp_directory_path() / "mmw_serve_telemetry";
   fs::create_directories(dir);
   return dir;
+}
+
+EpochReport sample_report() {
+  EpochReport r;
+  r.epoch = 17;
+  r.live_sessions = 100'000;
+  r.arrivals = 512;
+  r.departures = 498;
+  r.aligning_steps = 2048;
+  r.tracking_steps = 97'952;
+  r.outages = 33;
+  r.realignments = 21;
+  r.claims = 640;
+  r.measurement_slots = 81'920;
+  r.estimator_nonconverged = 2;
+  r.loss_samples = 97'952;
+  r.mean_loss_db = -1.25;
+  r.p50_loss_db = -1.5;
+  r.p90_loss_db = -0.5;
+  r.p99_loss_db = 0.75;
+  r.p999_loss_db = 2.5;
+  r.max_loss_db = 6.0;
+  return r;
+}
+
+EpochTiming sample_timing() {
+  EpochTiming t;
+  t.epoch_seconds = 0.123;
+  t.epoch_seconds_p50 = 0.1;
+  t.epoch_seconds_p99 = 0.3;
+  t.pool_busy_us = 4000;
+  t.pool_idle_us = 1000;
+  t.rss_bytes = 99'999'999;
+  t.arena_high_water_bytes = 42'000;
+  t.flight_events = 77;
+  return t;
+}
+
+std::string sample_line(const EpochTiming* timing) {
+  return render_telemetry_line(sample_report(), 1'234'567, 2'345'678,
+                               timing);
+}
+
+TEST(TelemetryRecordTest, JsonLeadsWithSchemaAndGroupsFields) {
+  const EpochTiming timing = sample_timing();
+  const std::string json = sample_line(&timing);
+  EXPECT_EQ(json.rfind("{\"schema\":\"mmw.telemetry/1\",\"epoch\":17,", 0),
+            0u);
+  EXPECT_NE(json.find("\"counters\":{\"live_sessions\":100000,"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"estimator_nonconverged\":2}"), std::string::npos);
+  EXPECT_NE(json.find("\"memory\":{\"pool_resident_bytes\":1234567,"
+                      "\"pool_high_water_bytes\":2345678}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"loss_db\":{\"count\":97952,\"mean\":-1.25,"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"p999\":2.5,\"max\":6}"), std::string::npos);
+  EXPECT_NE(json.find("\"timing\":{\"epoch_seconds\":0.123,"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"flight_events\":77}"), std::string::npos);
+}
+
+TEST(TelemetryRecordTest, TimingIsTheLastKey) {
+  const EpochTiming timing = sample_timing();
+  const std::string json = sample_line(&timing);
+  const auto pos = json.find(",\"timing\":{");
+  ASSERT_NE(pos, std::string::npos);
+  // The timing object runs to the end of the record: "...}}" closes timing
+  // and then the record itself, with no sibling key in between.
+  EXPECT_EQ(json.substr(json.size() - 2), "}}");
+  const std::string tail = json.substr(pos + 1);
+  EXPECT_EQ(tail.find("},\""), std::string::npos)
+      << "a key follows the timing object";
+}
+
+TEST(TelemetryRecordTest, TruncatingAtTimingEqualsExcludingIt) {
+  // THE contract the CI determinism gate and telemetry_report.py rely on:
+  // stripping wall-time is a string truncation, no JSON parser needed.
+  const EpochTiming timing = sample_timing();
+  const std::string with = sample_line(&timing);
+  const std::string without = sample_line(nullptr);
+  const auto pos = with.find(",\"timing\":");
+  ASSERT_NE(pos, std::string::npos);
+  EXPECT_EQ(with.substr(0, pos) + "}", without);
+}
+
+TEST(TelemetryRecordTest, TimingDoesNotLeakIntoDeterministicPrefix) {
+  const EpochTiming a = sample_timing();
+  EpochTiming b = sample_timing();
+  // Perturb ONLY timing fields: the deterministic prefix must not move.
+  b.epoch_seconds = 9.87;
+  b.pool_busy_us = 1;
+  b.pool_idle_us = 999'999;
+  b.rss_bytes = 1;
+  b.arena_high_water_bytes = 0;
+  b.flight_events = 0;
+  const std::string line_a = sample_line(&a);
+  const std::string line_b = sample_line(&b);
+  EXPECT_NE(line_a, line_b);
+  EXPECT_EQ(line_a.substr(0, line_a.find(",\"timing\":")),
+            line_b.substr(0, line_b.find(",\"timing\":")));
 }
 
 /// Applies the determinism contract: drops each record's trailing "timing"
@@ -321,32 +424,6 @@ TEST(ServingTelemetry, LossQuantilesAreOrderedPerEpochAndRunLevel) {
   EXPECT_GT(r.epoch_seconds_p50, 0.0);
 }
 
-TEST(ServingTelemetry, OutageBurstDumpsFlightRecorderOnce) {
-  const fs::path dir = telemetry_dir() / "burst_dumps";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  obs::FlightRecorder::global().set_dump_directory(dir.string());
-
-  ServeConfig cfg = tiny_config();
-  cfg.epochs = 10;
-  cfg.blockage_probability = 0.4;  // reliably produces outages
-  cfg.telemetry.outage_burst_dump_threshold = 1;
-  const std::uint64_t before = obs::FlightRecorder::global().dump_count();
-  ServingEngine engine(cfg);
-  engine.run();
-  // Latched: the first burst dumps, later bursts in the same run do not.
-  EXPECT_EQ(obs::FlightRecorder::global().dump_count(), before + 1);
-
-  bool found = false;
-  for (const auto& e : fs::directory_iterator(dir))
-    if (e.path().filename().string().find("outage_burst") !=
-        std::string::npos)
-      found = true;
-  EXPECT_TRUE(found);
-  obs::FlightRecorder::global().set_dump_directory("bench_results");
-  fs::remove_all(dir);
-}
-
 TEST(ServingTelemetry, InjectedStallTripsWatchdog) {
   const fs::path dir = telemetry_dir() / "stall_dumps";
   fs::remove_all(dir);
@@ -356,25 +433,32 @@ TEST(ServingTelemetry, InjectedStallTripsWatchdog) {
 
   ServeConfig cfg = tiny_config();
   cfg.scenario.threads = 1;
-  cfg.telemetry.watchdog = true;
-  cfg.telemetry.health_path = health.string();
-  cfg.telemetry.watchdog_poll_seconds = 0.005;
-  cfg.telemetry.watchdog_min_stall_seconds = 0.05;
-  cfg.telemetry.watchdog_stall_multiplier = 2.0;
-  // The test hook: a pure wall-clock sleep in epoch 3 — no Rng, no state,
-  // so results stay deterministic while the epoch loop visibly freezes.
-  cfg.telemetry.stall_test_seconds = 0.5;
-  cfg.telemetry.stall_test_epoch = 3;
+  obs::WatchdogConfig& wc = cfg.telemetry.watchdog.emplace();
+  wc.health_path = health.string();
+  wc.poll_seconds = 0.005;
+  wc.min_stall_seconds = 0.05;
+  wc.stall_multiplier = 2.0;
 
+  const std::uint64_t dumps = obs::FlightRecorder::global().dump_count();
   {
     ServingEngine engine(cfg);
-    const ServeResult r = engine.run();
-    EXPECT_TRUE(r.watchdog_tripped);
+    for (index_t e = 0; e < cfg.epochs; ++e) {
+      // A wall-clock pause before epoch 3 freezes the engine's progress
+      // counter as a wedged shard would, without touching an Rng or any
+      // session state.
+      if (e == 3) std::this_thread::sleep_for(std::chrono::milliseconds(500));
+      engine.step_epoch();
+    }
     ASSERT_NE(engine.watchdog(), nullptr);
+    EXPECT_TRUE(engine.watchdog()->tripped());
     EXPECT_GE(engine.watchdog()->trips(), 1u);
     ASSERT_TRUE(fs::exists(health));
     EXPECT_NE(slurp(health).find("\"schema\":\"mmw.health/1\""),
               std::string::npos);
+  }
+  // A trip always dumps the flight recorder (below its dump cap).
+  if (dumps < obs::FlightRecorder::kMaxDumps) {
+    EXPECT_GT(obs::FlightRecorder::global().dump_count(), dumps);
   }
   // Engine teardown stops the watchdog, which leaves a terminal document.
   const std::string body = slurp(health);
@@ -387,9 +471,9 @@ TEST(ServingTelemetry, InjectedStallTripsWatchdog) {
 TEST(ServingTelemetry, HealthyRunNeverTrips) {
   const fs::path health = telemetry_dir() / "healthy.health.json";
   ServeConfig cfg = tiny_config();
-  cfg.telemetry.watchdog = true;
-  cfg.telemetry.health_path = health.string();
-  cfg.telemetry.watchdog_poll_seconds = 0.005;  // poll a lot; still no trip
+  obs::WatchdogConfig& wc = cfg.telemetry.watchdog.emplace();
+  wc.health_path = health.string();
+  wc.poll_seconds = 0.005;  // poll a lot; still no trip
   ServingEngine engine(cfg);
   const ServeResult r = engine.run();
   EXPECT_FALSE(r.watchdog_tripped);
