@@ -8,11 +8,13 @@
 #include "fig_common.h"
 
 int main(int argc, char** argv) {
-  mmw::bench::BenchRun run("ablation_algorithm_variants", argc, argv);
+  mmw::bench::Args args(argc, argv);
+  mmw::bench::BenchRun run("ablation_algorithm_variants", args);
+  args.reject_unknown();
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::print_header("Ablation A9", "Algorithm 1 variants");
+  run.print_header("Ablation A9", "Algorithm 1 variants");
 
   struct Variant {
     const char* name;
@@ -35,7 +37,8 @@ int main(int argc, char** argv) {
     std::printf("variant");
     for (const real r : rates) std::printf("\t%.0f%%", 100.0 * r);
     std::printf("\n");
-    const Scenario sc = bench::paper_scenario(kind, 20);
+    Scenario sc = bench::paper_scenario(kind, 20);
+    sc.threads = run.threads();
     for (const Variant& v : variants) {
       core::ProposedOptions opts;
       opts.exploration_floor = v.exploration_floor;

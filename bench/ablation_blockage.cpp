@@ -10,11 +10,13 @@
 #include "sim/evaluation.h"
 
 int main(int argc, char** argv) {
-  mmw::bench::BenchRun run("ablation_blockage", argc, argv);
+  mmw::bench::Args args(argc, argv);
+  mmw::bench::BenchRun run("ablation_blockage", args);
+  args.reject_unknown();
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::print_header("Ablation A8", "measurement blockage sweep");
+  run.print_header("Ablation A8", "measurement blockage sweep");
 
   const Scenario sc = bench::paper_scenario(ChannelKind::kSinglePath, 20);
   const index_t budget = 102;  // 10% search rate

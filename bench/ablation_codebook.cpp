@@ -10,11 +10,13 @@
 #include "fig_common.h"
 
 int main(int argc, char** argv) {
-  mmw::bench::BenchRun run("ablation_codebook", argc, argv);
+  mmw::bench::Args args(argc, argv);
+  mmw::bench::BenchRun run("ablation_codebook", args);
+  args.reject_unknown();
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::print_header("Ablation A5", "codebook family: angular grid vs DFT");
+  run.print_header("Ablation A5", "codebook family: angular grid vs DFT");
 
   const std::vector<real> rates{0.05, 0.10, 0.20};
   core::RandomSearch random_search;
@@ -25,6 +27,7 @@ int main(int argc, char** argv) {
   for (const auto cb : {CodebookKind::kAngularGrid, CodebookKind::kDft}) {
     Scenario sc = bench::paper_scenario(ChannelKind::kSinglePath, 20);
     sc.codebook = cb;
+    sc.threads = run.threads();
     const auto res = run_search_effectiveness(sc, strategies, rates);
     std::printf("%s codebook\n%s\n",
                 cb == CodebookKind::kAngularGrid ? "angular-grid" : "DFT",

@@ -6,11 +6,13 @@
 #include "fig_common.h"
 
 int main(int argc, char** argv) {
-  mmw::bench::BenchRun run("ablation_estimator_compare", argc, argv);
+  mmw::bench::Args args(argc, argv);
+  mmw::bench::BenchRun run("ablation_estimator_compare", args);
+  args.reject_unknown();
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::print_header("Ablation A4", "covariance estimator comparison");
+  run.print_header("Ablation A4", "covariance estimator comparison");
 
   const std::vector<real> rates{0.05, 0.10, 0.20};
   const std::pair<core::EstimatorKind, const char*> kinds[] = {
@@ -28,7 +30,8 @@ int main(int argc, char** argv) {
     std::printf("estimator");
     for (const real r : rates) std::printf("\t%.0f%%", 100.0 * r);
     std::printf("\n");
-    const Scenario sc = bench::paper_scenario(kind, 20);
+    Scenario sc = bench::paper_scenario(kind, 20);
+    sc.threads = run.threads();
     for (const auto& [ek, label] : kinds) {
       core::ProposedOptions opts;
       opts.estimator_kind = ek;

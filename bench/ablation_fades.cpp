@@ -10,11 +10,13 @@
 #include "fig_common.h"
 
 int main(int argc, char** argv) {
-  mmw::bench::BenchRun run("ablation_fades", argc, argv);
+  mmw::bench::Args args(argc, argv);
+  mmw::bench::BenchRun run("ablation_fades", args);
+  args.reject_unknown();
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::print_header("Ablation A6", "fades per measurement (K) sweep");
+  run.print_header("Ablation A6", "fades per measurement (K) sweep");
 
   const std::vector<real> rates{0.10, 1.0};
   core::RandomSearch random_search;
@@ -29,6 +31,7 @@ int main(int argc, char** argv) {
        {index_t{1}, index_t{2}, index_t{4}, index_t{8}, index_t{32}}) {
     Scenario sc = bench::paper_scenario(ChannelKind::kSinglePath, 15);
     sc.fades_per_measurement = k;
+    sc.threads = run.threads();
     const auto res = run_search_effectiveness(sc, strategies, rates);
     std::printf("%zu\t%.3f\t%.3f\t%.3f\t%.3f\n", k,
                 res.loss_db.at("Proposed")[0].mean,

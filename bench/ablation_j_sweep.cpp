@@ -8,11 +8,13 @@
 #include "fig_common.h"
 
 int main(int argc, char** argv) {
-  mmw::bench::BenchRun run("ablation_j_sweep", argc, argv);
+  mmw::bench::Args args(argc, argv);
+  mmw::bench::BenchRun run("ablation_j_sweep", args);
+  args.reject_unknown();
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::print_header("Ablation A1", "J (measurements per TX-slot) sweep");
+  run.print_header("Ablation A1", "J (measurements per TX-slot) sweep");
 
   const std::vector<real> rates{0.05, 0.10, 0.20};
   for (const auto kind :
@@ -23,7 +25,8 @@ int main(int argc, char** argv) {
     std::printf("J\\rate");
     for (const real r : rates) std::printf("\t%.0f%%", 100.0 * r);
     std::printf("\n");
-    const Scenario sc = bench::paper_scenario(kind, 20);
+    Scenario sc = bench::paper_scenario(kind, 20);
+    sc.threads = run.threads();
     for (const index_t j : {index_t{3}, index_t{4}, index_t{6}, index_t{8},
                             index_t{12}, index_t{16}}) {
       core::ProposedOptions opts;

@@ -10,13 +10,15 @@
 #include "linalg/functions.h"
 
 int main(int argc, char** argv) {
-  mmw::bench::BenchRun run("ablation_mu_sweep", argc, argv);
+  mmw::bench::Args args(argc, argv);
+  mmw::bench::BenchRun run("ablation_mu_sweep", args);
+  args.reject_unknown();
   using namespace mmw;
   using namespace mmw::sim;
   using linalg::Matrix;
   using linalg::Vector;
 
-  bench::print_header("Ablation A2", "regularization weight mu sweep");
+  run.print_header("Ablation A2", "regularization weight mu sweep");
 
   const std::vector<real> mus{0.0, 0.01, 0.05, 0.2, 1.0, 5.0};
 
@@ -62,7 +64,8 @@ int main(int argc, char** argv) {
     std::printf("%.3f", mu);
     for (const auto kind :
          {ChannelKind::kSinglePath, ChannelKind::kNycMultipath}) {
-      const Scenario sc = bench::paper_scenario(kind, 20);
+      Scenario sc = bench::paper_scenario(kind, 20);
+      sc.threads = run.threads();
       core::ProposedOptions opts;
       opts.estimator.mu = mu;
       core::ProposedAlignment proposed(opts);

@@ -13,12 +13,14 @@
 #include "sim/evaluation.h"
 
 int main(int argc, char** argv) {
-  mmw::bench::BenchRun run("ablation_phase_quantization", argc, argv);
+  mmw::bench::Args args(argc, argv);
+  mmw::bench::BenchRun run("ablation_phase_quantization", args);
+  args.reject_unknown();
   using namespace mmw;
   using antenna::ArrayGeometry;
   using antenna::Codebook;
 
-  bench::print_header("Ablation A7", "phase-shifter resolution sweep");
+  run.print_header("Ablation A7", "phase-shifter resolution sweep");
 
   const auto tx = ArrayGeometry::upa(4, 4);
   const auto rx = ArrayGeometry::upa(8, 8);

@@ -11,12 +11,14 @@
 #include "sim/evaluation.h"
 
 int main(int argc, char** argv) {
-  mmw::bench::BenchRun run("ablation_rank_sweep", argc, argv);
+  mmw::bench::Args args(argc, argv);
+  mmw::bench::BenchRun run("ablation_rank_sweep", args);
+  args.reject_unknown();
   using namespace mmw;
   using antenna::ArrayGeometry;
   using antenna::Codebook;
 
-  bench::print_header("Ablation A3", "channel rank (path count) sweep");
+  run.print_header("Ablation A3", "channel rank (path count) sweep");
 
   const auto tx = ArrayGeometry::upa(4, 4);
   const auto rx = ArrayGeometry::upa(8, 8);

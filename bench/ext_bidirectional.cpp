@@ -9,11 +9,13 @@
 #include "fig_common.h"
 
 int main(int argc, char** argv) {
-  mmw::bench::BenchRun run("ext_bidirectional", argc, argv);
+  mmw::bench::Args args(argc, argv);
+  mmw::bench::BenchRun run("ext_bidirectional", args);
+  args.reject_unknown();
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::print_header("Extension E6", "bidirectional (ping-pong) training");
+  run.print_header("Extension E6", "bidirectional (ping-pong) training");
 
   core::RandomSearch random_search;
   core::ProposedAlignment proposed;
@@ -24,7 +26,8 @@ int main(int argc, char** argv) {
 
   for (const auto kind :
        {ChannelKind::kSinglePath, ChannelKind::kNycMultipath}) {
-    const Scenario sc = bench::paper_scenario(kind, 25);
+    Scenario sc = bench::paper_scenario(kind, 25);
+    sc.threads = run.threads();
     const auto res = run_search_effectiveness(sc, strategies, rates);
     std::printf("%s channel\n%s\n",
                 kind == ChannelKind::kSinglePath ? "single-path"

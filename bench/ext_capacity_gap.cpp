@@ -12,12 +12,14 @@
 #include "phy/capacity.h"
 
 int main(int argc, char** argv) {
-  mmw::bench::BenchRun run("ext_capacity_gap", argc, argv);
+  mmw::bench::Args args(argc, argv);
+  mmw::bench::BenchRun run("ext_capacity_gap", args);
+  args.reject_unknown();
   using namespace mmw;
   using antenna::ArrayGeometry;
   using linalg::Matrix;
 
-  bench::print_header("Extension E3", "beamforming vs MIMO capacity");
+  run.print_header("Extension E3", "beamforming vs MIMO capacity");
 
   const auto tx = ArrayGeometry::upa(4, 4);
   const auto rx = ArrayGeometry::upa(8, 8);

@@ -24,14 +24,15 @@ int main(int argc, char** argv) {
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::BenchRun run("ext_fault_robustness", argc, argv);
+  bench::Args args(argc, argv);
+  bench::BenchRun run("ext_fault_robustness", args);
   Scenario sc = bench::paper_scenario(ChannelKind::kNycMultipath, 15);
-  sc.trials = bench::flag_u64(argc, argv, "--trials", sc.trials, 1);
-  sc.threads = bench::threads_from_cli(argc, argv);
+  sc.trials = args.u64("--trials", sc.trials, 1);
+  args.reject_unknown();
+  sc.threads = run.threads();
   run.add_scenario(sc);
-  bench::print_header("Extension E8",
-                      "alignment robustness under injected faults",
-                      sc.threads);
+  run.print_header("Extension E8",
+                   "alignment robustness under injected faults");
 
   core::RandomSearch random_search;
   core::ScanSearch scan_search;

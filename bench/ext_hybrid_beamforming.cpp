@@ -15,13 +15,15 @@
 #include "phy/hybrid.h"
 
 int main(int argc, char** argv) {
-  mmw::bench::BenchRun run("ext_hybrid_beamforming", argc, argv);
+  mmw::bench::Args args(argc, argv);
+  mmw::bench::BenchRun run("ext_hybrid_beamforming", args);
+  args.reject_unknown();
   using namespace mmw;
   using antenna::ArrayGeometry;
   using linalg::Matrix;
   using linalg::Vector;
 
-  bench::print_header("Extension E5", "hybrid precoding vs RF chains");
+  run.print_header("Extension E5", "hybrid precoding vs RF chains");
 
   const auto tx = ArrayGeometry::upa(4, 4);
   const auto rx = ArrayGeometry::upa(8, 8);

@@ -45,13 +45,14 @@ int main(int argc, char** argv) {
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::BenchRun run("ext_multicell_interference", argc, argv);
+  bench::Args args(argc, argv);
+  bench::BenchRun run("ext_multicell_interference", args);
+  args.reject_unknown();
   Scenario sc = bench::paper_scenario(ChannelKind::kSinglePath, 10);
-  sc.threads = bench::threads_from_cli(argc, argv);
+  sc.threads = run.threads();
   run.add_scenario(sc);
-  bench::print_header("Extension E7",
-                      "multi-cell alignment under inter-cell interference",
-                      sc.threads);
+  run.print_header("Extension E7",
+                   "multi-cell alignment under inter-cell interference");
 
   core::RandomSearch random_search;
   core::ScanSearch scan_search;

@@ -9,12 +9,14 @@
 #include "sim/evaluation.h"
 
 int main(int argc, char** argv) {
-  mmw::bench::BenchRun run("ext_protocol_overhead", argc, argv);
+  mmw::bench::Args args(argc, argv);
+  mmw::bench::BenchRun run("ext_protocol_overhead", args);
+  args.reject_unknown();
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::print_header("Extension E2",
-                      "net spectral efficiency vs re-alignment period");
+  run.print_header("Extension E2",
+                   "net spectral efficiency vs re-alignment period");
 
   Scenario sc = bench::paper_scenario(ChannelKind::kNycMultipath, 15);
   const mac::ProtocolTiming timing;

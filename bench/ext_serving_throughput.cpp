@@ -27,12 +27,13 @@
 //
 // Knobs: --sessions N (single scale instead of the sweep), --epochs N,
 // --arrival-rate R (per site per epoch; overrides the 1% default),
-// --sojourn E, --threads N / MMW_THREADS, --obs on|off, --trace[=path],
+// --sojourn E, --threads N, --obs on|off, --trace[=path],
 // --telemetry[=path] (per-epoch mmw.telemetry/1 NDJSON + watchdog with
 // health.json next to it; the default path is
 // bench_results/ext_serving_throughput_<sessions>_telemetry.ndjson, an
 // explicit =path applies verbatim when --sessions pins a single scale).
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -61,7 +62,8 @@ struct ScaleResult {
 int main(int argc, char** argv) {
   using namespace mmw;
 
-  bench::BenchRun run("ext_serving_throughput", argc, argv);
+  bench::Args args(argc, argv);
+  bench::BenchRun run("ext_serving_throughput", args);
 
   // The serving scenario trades array size for population: TX 2×2 (M = 4),
   // RX 4×4 (N = 16), T = 64 pairs, 4 fades/measurement. Alignment quality
@@ -80,7 +82,7 @@ int main(int argc, char** argv) {
   // with ~30 dB of honest SNR heterogeneity between center and edge.
   sc.gamma = 1000.0;
   sc.seed = 2016;
-  sc.threads = bench::threads_from_cli(argc, argv);
+  sc.threads = run.threads();
   run.add_scenario(sc);
   const index_t cores = core::resolve_thread_count(sc.threads);
 
@@ -88,21 +90,24 @@ int main(int argc, char** argv) {
   topo.cells = 64;
   topo.cell_radius_m = 100.0;
 
-  const std::uint64_t epochs = bench::flag_u64(argc, argv, "--epochs", 8);
-  const double arrival_override =
-      bench::flag_real(argc, argv, "--arrival-rate", -1.0);
-  const double sojourn = bench::flag_real(argc, argv, "--sojourn", 100.0);
+  const std::uint64_t epochs = args.u64("--epochs", 8, 1);
+  // NaN when not given: each scale then admits 1% of its per-site
+  // population (the flag reader never yields a NaN).
+  const double arrival_override = args.number("--arrival-rate", std::nan(""));
+  if (arrival_override < 0.0)
+    bench::usage_error("--arrival-rate must be non-negative");
+  const double sojourn = args.number("--sojourn", 100.0);
   if (sojourn < 0.0) bench::usage_error("--sojourn must be non-negative");
-  const std::uint64_t single = bench::flag_u64(argc, argv, "--sessions", 0);
-  const char* telemetry = bench::flag_option(argc, argv, "--telemetry");
+  const std::uint64_t single = args.u64("--sessions", 0);
+  const char* telemetry = args.option("--telemetry");
   // One alignment slot per TX beam by default: the deterministic TX sweep
   // covers the whole M=4 codebook before a session claims its pair. The
   // bounds are ServingEngine's (the slot counter is a u8).
-  const std::uint64_t align_epochs = bench::flag_u64(
-      argc, argv, "--align-epochs", sc.tx_grid_x * sc.tx_grid_y, 1, 0xff);
-  const std::uint64_t probes = bench::flag_u64(argc, argv, "--probes", 8, 1);
-  const std::uint64_t track_fades =
-      bench::flag_u64(argc, argv, "--track-fades", 4, 1);
+  const std::uint64_t align_epochs =
+      args.u64("--align-epochs", sc.tx_grid_x * sc.tx_grid_y, 1, 0xff);
+  const std::uint64_t probes = args.u64("--probes", 8, 1);
+  const std::uint64_t track_fades = args.u64("--track-fades", 4, 1);
+  args.reject_unknown();
 
   std::vector<index_t> scales;
   if (single > 0)
@@ -141,7 +146,7 @@ int main(int argc, char** argv) {
     const double per_site = static_cast<double>(sessions) /
                             static_cast<double>(topo.cells);
     cfg.arrival_rate =
-        arrival_override >= 0.0 ? arrival_override : 0.01 * per_site;
+        std::isnan(arrival_override) ? 0.01 * per_site : arrival_override;
     cfg.mean_sojourn_epochs = sojourn;
     cfg.align_epochs = align_epochs;
     cfg.probes_per_slot = probes;

@@ -10,12 +10,14 @@
 #include "sim/evaluation.h"
 
 int main(int argc, char** argv) {
-  mmw::bench::BenchRun run("ext_strategies_compare", argc, argv);
+  mmw::bench::Args args(argc, argv);
+  mmw::bench::BenchRun run("ext_strategies_compare", args);
+  args.reject_unknown();
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::print_header("Extension E1",
-                      "protocol comparison incl. 802.15.3c-style sweep");
+  run.print_header("Extension E1",
+                   "protocol comparison incl. 802.15.3c-style sweep");
 
   const mac::ProtocolTiming timing;
   const index_t budget_10pct = 102;

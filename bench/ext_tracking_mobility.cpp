@@ -29,7 +29,7 @@
 // quantile digests' p50/p90/p99/max.
 //
 // Knobs: --users N, --epochs N, --warmup N, --speeds a,b,c (m/s),
-// --threads N / MMW_THREADS, --tiny (CI smoke: 4 users × 24 epochs,
+// --threads N, --tiny (CI smoke: 4 users × 24 epochs,
 // warmup 8).
 #include <cstdio>
 #include <string>
@@ -41,7 +41,8 @@
 int main(int argc, char** argv) {
   using namespace mmw;
 
-  bench::BenchRun run("ext_tracking_mobility", argc, argv);
+  bench::Args args(argc, argv);
+  bench::BenchRun run("ext_tracking_mobility", args);
 
   // Tracking scenario: the E9 array split (TX 2×2, RX 4×16 pairs) so a
   // cold sweep is 64 probes — big enough that warm tracking has something
@@ -55,10 +56,10 @@ int main(int argc, char** argv) {
   sc.fades_per_measurement = 4;
   sc.gamma = 1000.0;  // 30 dB at reference distance; pathloss eats ~30 dB
   sc.seed = 20160610;
-  sc.threads = bench::threads_from_cli(argc, argv);
+  sc.threads = run.threads();
   run.add_scenario(sc);
 
-  const bool tiny = bench::flag_option(argc, argv, "--tiny") != nullptr;
+  const bool tiny = args.flag("--tiny");
 
   track::TrackingConfig cfg;
   cfg.scenario = sc;
@@ -66,12 +67,10 @@ int main(int argc, char** argv) {
   cfg.topology.cell_radius_m = 100.0;
   // track::run_tracking's bounds: one user, one epoch, and a warm-up
   // that leaves at least one steady epoch.
-  cfg.users = static_cast<index_t>(
-      bench::flag_u64(argc, argv, "--users", tiny ? 4 : 24, 1));
-  cfg.epochs = static_cast<index_t>(
-      bench::flag_u64(argc, argv, "--epochs", tiny ? 24 : 120, 1));
-  cfg.warmup_epochs = static_cast<index_t>(bench::flag_u64(
-      argc, argv, "--warmup", tiny ? 8 : 40, 0, cfg.epochs - 1));
+  cfg.users = static_cast<index_t>(args.u64("--users", tiny ? 4 : 24, 1));
+  cfg.epochs = static_cast<index_t>(args.u64("--epochs", tiny ? 24 : 120, 1));
+  cfg.warmup_epochs = static_cast<index_t>(
+      args.u64("--warmup", tiny ? 8 : 40, 0, cfg.epochs - 1));
   cfg.mobility.epoch_seconds = 0.5;
   cfg.mobility.hysteresis_db = 3.0;
   cfg.evolution.drift_rad_per_meter = 0.004;
@@ -81,8 +80,10 @@ int main(int argc, char** argv) {
   cfg.evolution.blockage_clear_probability = 0.25;
   cfg.evolution.blockage_gain = 0.02;
 
-  const std::vector<real> speeds =
-      bench::flag_reals(argc, argv, "--speeds", {1.4, 13.9, 33.3});
+  const std::vector<real> speeds = args.numbers("--speeds", {1.4, 13.9, 33.3});
+  for (const real v : speeds)
+    if (v < 0.0) bench::usage_error("--speeds must be non-negative m/s");
+  args.reject_unknown();
   const std::vector<track::TrackerKind> kinds{
       track::TrackerKind::kColdStart, track::TrackerKind::kWarmMl,
       track::TrackerKind::kNeighborhood, track::TrackerKind::kBanditUcb};

@@ -12,13 +12,15 @@
 #include "fig_common.h"
 
 int main(int argc, char** argv) {
-  mmw::bench::BenchRun run("ext_wideband_selectivity", argc, argv);
+  mmw::bench::Args args(argc, argv);
+  mmw::bench::BenchRun run("ext_wideband_selectivity", args);
+  args.reject_unknown();
   using namespace mmw;
   using antenna::ArrayGeometry;
   using antenna::Codebook;
   using linalg::Vector;
 
-  bench::print_header("Extension E4", "wideband selectivity of aligned beams");
+  run.print_header("Extension E4", "wideband selectivity of aligned beams");
 
   const auto tx = ArrayGeometry::upa(4, 4);
   const auto rx = ArrayGeometry::upa(8, 8);

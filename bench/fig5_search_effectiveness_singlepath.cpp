@@ -12,12 +12,13 @@ int main(int argc, char** argv) {
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::BenchRun run("fig5_search_effectiveness_singlepath", argc, argv);
+  bench::Args args(argc, argv);
+  bench::BenchRun run("fig5_search_effectiveness_singlepath", args);
+  args.reject_unknown();
   Scenario sc = bench::paper_scenario(ChannelKind::kSinglePath);
-  sc.threads = bench::threads_from_cli(argc, argv);
+  sc.threads = run.threads();
   run.add_scenario(sc);
-  bench::print_header("Figure 5", "search effectiveness, single-path channel",
-                      sc.threads);
+  run.print_header("Figure 5", "search effectiveness, single-path channel");
 
   core::RandomSearch random_search;
   core::ScanSearch scan_search;

@@ -12,13 +12,14 @@ int main(int argc, char** argv) {
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::BenchRun run("fig6_search_effectiveness_multipath", argc, argv);
+  bench::Args args(argc, argv);
+  bench::BenchRun run("fig6_search_effectiveness_multipath", args);
+  args.reject_unknown();
   Scenario sc = bench::paper_scenario(ChannelKind::kNycMultipath);
-  sc.threads = bench::threads_from_cli(argc, argv);
+  sc.threads = run.threads();
   run.add_scenario(sc);
-  bench::print_header("Figure 6",
-                      "search effectiveness, NYC multipath channel",
-                      sc.threads);
+  run.print_header("Figure 6",
+                   "search effectiveness, NYC multipath channel");
 
   core::RandomSearch random_search;
   core::ScanSearch scan_search;

@@ -14,12 +14,13 @@ int main(int argc, char** argv) {
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::BenchRun run("fig7_cost_efficiency_singlepath", argc, argv);
+  bench::Args args(argc, argv);
+  bench::BenchRun run("fig7_cost_efficiency_singlepath", args);
+  args.reject_unknown();
   Scenario sc = bench::paper_scenario(ChannelKind::kSinglePath);
-  sc.threads = bench::threads_from_cli(argc, argv);
+  sc.threads = run.threads();
   run.add_scenario(sc);
-  bench::print_header("Figure 7", "cost efficiency, single-path channel",
-                      sc.threads);
+  run.print_header("Figure 7", "cost efficiency, single-path channel");
 
   core::RandomSearch random_search;
   core::ScanSearch scan_search;

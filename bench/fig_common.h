@@ -2,17 +2,13 @@
 // configuration (Sec. V-A) and a uniform report format.
 #pragma once
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <limits>
 #include <string>
 #include <system_error>
 #include <vector>
 
+#include "args.h"
 #include "core/thread_pool.h"
 #include "linalg/kernels.h"
 #include "obs/clock.h"
@@ -21,118 +17,6 @@
 #include "sim/experiments.h"
 
 namespace mmw::bench {
-
-// -- Command-line flags -------------------------------------------------------
-// The one flag reader of the bench drivers. A value flag is given as
-// `--name value` or `--name=value`, and its first occurrence wins. A
-// malformed value ends the process with exit status 2 before any work runs.
-
-/// Prints `message` to stderr and exits with status 2 (bad command line).
-[[noreturn]] inline void usage_error(const std::string& message) {
-  std::fprintf(stderr, "error: %s\n", message.c_str());
-  std::exit(2);
-}
-
-/// Value of the value flag `name`, or nullptr when it is absent.
-inline const char* flag_value(int argc, char** argv, const char* name) {
-  const std::size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) != 0) continue;
-    if (argv[i][len] == '=') return argv[i] + len + 1;
-    if (argv[i][len] != '\0') continue;
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + name);
-    return argv[i + 1];
-  }
-  return nullptr;
-}
-
-/// A flag whose value is optional and only given as `--name=value`:
-/// nullptr when absent, "" for the bare `--name`, else the value.
-inline const char* flag_option(int argc, char** argv, const char* name) {
-  const std::size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], name, len) == 0 &&
-        (argv[i][len] == '\0' || argv[i][len] == '='))
-      return argv[i][len] == '=' ? argv[i] + len + 1 : "";
-  return nullptr;
-}
-
-/// All of `text` as a non-negative decimal integer; `what` names the input
-/// in the error.
-inline std::uint64_t parse_u64(const char* what, const char* text) {
-  const char* end = text + std::strlen(text);
-  std::uint64_t v = 0;
-  const auto [stop, ec] = std::from_chars(text, end, v);
-  if (text == end || ec != std::errc() || stop != end)
-    usage_error(std::string(what) + " needs a non-negative integer, got '" +
-                text + "'");
-  return v;
-}
-
-/// All of `text` as a finite decimal number.
-inline double parse_real(const char* what, const char* text) {
-  const char* end = text + std::strlen(text);
-  double v = 0.0;
-  const auto [stop, ec] = std::from_chars(text, end, v);
-  if (text == end || ec != std::errc() || stop != end || !std::isfinite(v))
-    usage_error(std::string(what) + " needs a finite number, got '" + text +
-                "'");
-  return v;
-}
-
-/// The value of `name`, or `fallback` when it is absent. A result outside
-/// [lo, hi] — the bounds the library will check — is a usage error, a
-/// fallback included (another flag may have narrowed the bounds).
-inline std::uint64_t flag_u64(
-    int argc, char** argv, const char* name, std::uint64_t fallback,
-    std::uint64_t lo = 0,
-    std::uint64_t hi = std::numeric_limits<std::uint64_t>::max()) {
-  const char* v = flag_value(argc, argv, name);
-  const std::uint64_t x = v == nullptr ? fallback : parse_u64(name, v);
-  if (x < lo || x > hi)
-    usage_error(std::string(name) + " must be " +
-                (hi == std::numeric_limits<std::uint64_t>::max()
-                     ? "at least " + std::to_string(lo)
-                     : "in [" + std::to_string(lo) + ", " +
-                           std::to_string(hi) + "]") +
-                ", got " + std::to_string(x) +
-                (v == nullptr ? " (the default)" : ""));
-  return x;
-}
-
-inline double flag_real(int argc, char** argv, const char* name,
-                        double fallback) {
-  const char* v = flag_value(argc, argv, name);
-  return v == nullptr ? fallback : parse_real(name, v);
-}
-
-/// A comma-separated list of finite numbers, e.g. `--speeds 1.4,33.3`.
-inline std::vector<real> flag_reals(int argc, char** argv, const char* name,
-                                    std::vector<real> fallback) {
-  const char* v = flag_value(argc, argv, name);
-  if (v == nullptr) return fallback;
-  std::vector<real> out;
-  const std::string list = v;
-  for (std::size_t pos = 0; pos <= list.size();) {
-    std::size_t next = list.find(',', pos);
-    if (next == std::string::npos) next = list.size();
-    out.push_back(parse_real(name, list.substr(pos, next - pos).c_str()));
-    pos = next + 1;
-  }
-  return out;
-}
-
-/// Thread-count knob shared by every figure bench: `--threads N` on the
-/// command line, else the MMW_THREADS environment variable, else 0 = auto
-/// (all hardware threads). The results are bit-identical for any value —
-/// this only trades wall-clock for cores.
-inline index_t threads_from_cli(int argc, char** argv) {
-  if (const char* v = flag_value(argc, argv, "--threads"))
-    return parse_u64("--threads", v);
-  if (const char* env = std::getenv("MMW_THREADS"))
-    return parse_u64("MMW_THREADS", env);
-  return 0;
-}
 
 /// The paper's setup: TX 4×4 λ/2 UPA (M = 16), RX 8×8 λ/2 UPA (N = 64),
 /// angular-grid codebooks over a ±60°×±30° sector, T = 1024 beam pairs.
@@ -156,15 +40,6 @@ inline std::vector<real> paper_target_losses() {
   return {6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.5};
 }
 
-inline void print_header(const char* figure, const char* description,
-                         index_t threads = 0) {
-  std::printf("=== %s: %s ===\n", figure, description);
-  std::printf(
-      "setup: TX 4x4 UPA (M=16), RX 8x8 UPA (N=64), T=1024 pairs, "
-      "gamma=0 dB, 8 fades/measurement, %zu thread(s)\n\n",
-      core::resolve_thread_count(threads));
-}
-
 /// Writes a CSV artifact under bench_results/ (created on demand) so the
 /// figure data can be plotted without re-running the sweep. Failures
 /// (including a full disk, which may only show when the file is closed)
@@ -177,32 +52,38 @@ inline void write_artifact(const std::string& filename,
     std::printf("(csv written to %s)\n", path.c_str());
 }
 
-/// Observability lifecycle shared by every figure/ablation bench: construct
-/// at the top of main, call finish() after the sweep.
+/// The run lifecycle shared by every figure/ablation bench: construct at
+/// the top of main, call finish() after the sweep. The constructor reads
+/// the flags every bench takes:
 ///
-///  - Instrumentation defaults ON for benches (the library default is off),
-///    overridable with MMW_OBS=off or `--obs off|on` (CLI wins over env).
+///  - `--threads N`: threads of the trial-parallel drivers, 0 (the
+///    default) = all hardware threads. The results are bit-identical for
+///    any value; this only trades wall-clock for cores.
+///  - `--obs on|off`: instrumentation, on by default for benches (the
+///    library default is off).
 ///  - `--trace[=path]` opts into span capture and writes a Chrome trace
 ///    JSON (chrome://tracing / Perfetto) — default path
 ///    bench_results/<name>_trace.json.
-///  - finish() snapshots the metrics registry into a run manifest
-///    (schema mmw.run_manifest/1) written next to the CSV artifact as
-///    bench_results/<name>_manifest.json.
+///
+/// The bench then reads its own flags from the same `args` and calls
+/// args.reject_unknown() before its sweep. finish() snapshots the metrics
+/// registry into a run manifest (schema mmw.run_manifest/1) written next to
+/// the CSV artifact as bench_results/<name>_manifest.json.
 class BenchRun {
  public:
-  BenchRun(std::string name, int argc, char** argv)
+  BenchRun(std::string name, Args& args)
       : name_(std::move(name)), manifest_(name_) {
-    obs::init_from_env(/*default_on=*/true);
-    if (const char* v = flag_value(argc, argv, "--obs")) {
-      const std::string mode = v;
-      if (mode == "on" || mode == "1" || mode == "true")
-        obs::set_enabled(true);
-      else if (mode == "off" || mode == "0" || mode == "false")
-        obs::set_enabled(false);
-      else
-        usage_error("--obs needs on or off, got '" + mode + "'");
-    }
-    if (const char* v = flag_option(argc, argv, "--trace"))
+    obs::init_from_env();
+    threads_ = args.u64("--threads", 0);
+    const char* obs_flag = args.value("--obs");
+    const std::string mode = obs_flag == nullptr ? "on" : obs_flag;
+    if (mode == "on" || mode == "1" || mode == "true")
+      obs::set_enabled(true);
+    else if (mode == "off" || mode == "0" || mode == "false")
+      obs::set_enabled(false);
+    else
+      usage_error("--obs needs on or off, got '" + mode + "'");
+    if (const char* v = args.option("--trace"))
       trace_path_ =
           *v != '\0' ? v : "bench_results/" + name_ + "_trace.json";
     // A fresh registry per run: a bench may execute warm-up work before
@@ -214,6 +95,17 @@ class BenchRun {
     // recorded up front so even a crashed run's manifest says what ran.
     manifest_.add_config("kernels.dispatch",
                          std::string(linalg::kernels::active_tier_name()));
+  }
+
+  /// The `--threads` value (0 = all hardware threads).
+  index_t threads() const { return threads_; }
+
+  void print_header(const char* figure, const char* description) const {
+    std::printf("=== %s: %s ===\n", figure, description);
+    std::printf(
+        "setup: TX 4x4 UPA (M=16), RX 8x8 UPA (N=64), T=1024 pairs, "
+        "gamma=0 dB, 8 fades/measurement, %zu thread(s)\n\n",
+        core::resolve_thread_count(threads_));
   }
 
   /// Adds the scenario's reproducibility-relevant knobs to the manifest.
@@ -307,6 +199,7 @@ class BenchRun {
   std::string name_;
   obs::RunManifest manifest_;
   obs::WallTimer timer_;
+  index_t threads_ = 0;
   std::string trace_path_;
 };
 

@@ -438,12 +438,13 @@ BENCHMARK(BM_OuterTemporaryAdd)->Arg(16)->Arg(64)->Arg(128);
 
 }  // namespace
 
-// Expanded BENCHMARK_MAIN() so MMW_OBS / MMW_FLIGHT take effect: the
-// obs-overhead CI gate A/B-compares this binary with the flight recorder
-// armed (default) vs MMW_FLIGHT=off, so the env must be applied before any
-// TraceScope runs.
+// Expanded BENCHMARK_MAIN() so MMW_FLIGHT takes effect: the flight-recorder
+// CI gate A/B-compares this binary with the recorder armed (default) vs
+// MMW_FLIGHT=off, so the env must be applied before any TraceScope runs.
+// Instrumentation stays at the library default (off); google-benchmark
+// parses the command line.
 int main(int argc, char** argv) {
-  mmw::obs::init_from_env(false);
+  mmw::obs::init_from_env();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -17,149 +17,86 @@
 //                 [--metrics PATH]         (write the merged metrics
 //                                           snapshot as JSON)
 //
-// A malformed or out-of-range value ends the run with exit status 2.
+// A malformed or out-of-range value, an unknown argument or a flag given
+// twice ends the run with exit status 2 before any work.
 //
 // Instrumentation: --trace/--metrics turn the obs layer on; otherwise it
-// follows MMW_OBS (default off for this example — zero overhead).
+// stays off (zero overhead).
 //
 // Examples:
 //   alignment_cli --channel nyc --experiment loss --trials 30
 //   alignment_cli --experiment cost --targets 3,2,1 --csv
 //   alignment_cli --trials 5 --trace run_trace.json --metrics run_metrics.json
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "args.h"
 #include "obs/manifest.h"
 #include "obs/trace.h"
 #include "sim/experiments.h"
 
-namespace {
-
-using namespace mmw;
-
-[[noreturn]] void usage_error(const std::string& message) {
-  std::fprintf(stderr, "error: %s\nsee the header of alignment_cli.cpp for usage\n",
-               message.c_str());
-  std::exit(2);
-}
-
-/// All of `text` as a non-negative decimal integer.
-std::uint64_t parse_count(const std::string& flag, const std::string& text) {
-  const char* end = text.data() + text.size();
-  std::uint64_t v = 0;
-  const auto [stop, ec] = std::from_chars(text.data(), end, v);
-  if (text.empty() || ec != std::errc() || stop != end)
-    usage_error(flag + " needs a non-negative integer, got '" + text + "'");
-  return v;
-}
-
-/// All of `text` as a finite decimal number.
-real parse_real(const std::string& flag, const std::string& text) {
-  const char* end = text.data() + text.size();
-  real v = 0.0;
-  const auto [stop, ec] = std::from_chars(text.data(), end, v);
-  if (text.empty() || ec != std::errc() || stop != end || !std::isfinite(v))
-    usage_error(flag + " needs a finite number, got '" + text + "'");
-  return v;
-}
-
-/// A comma-separated list of finite numbers.
-std::vector<real> parse_list(const std::string& flag, const std::string& csv) {
-  std::vector<real> out;
-  for (std::size_t pos = 0; pos <= csv.size();) {
-    std::size_t next = csv.find(',', pos);
-    if (next == std::string::npos) next = csv.size();
-    out.push_back(parse_real(flag, csv.substr(pos, next - pos)));
-    pos = next + 1;
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace mmw;
+  using bench::usage_error;
+  bench::Args args(argc, argv);
+
   sim::Scenario scenario;
-  scenario.trials = 20;
-  scenario.seed = 2016;
-  std::string experiment = "loss";
-  std::vector<real> rates{0.02, 0.05, 0.10, 0.20, 0.30};
-  std::vector<real> targets{6.0, 4.0, 3.0, 2.0, 1.0};
-  core::ProposedOptions proposed_opts;
-  bool csv = false;
-  std::string trace_path;
-  std::string metrics_path;
-  obs::init_from_env(/*default_on=*/false);
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) usage_error("missing value for " + arg);
-      return argv[++i];
-    };
-    if (arg == "--channel") {
-      const std::string v = value();
-      if (v == "single")
-        scenario.channel = sim::ChannelKind::kSinglePath;
-      else if (v == "nyc")
-        scenario.channel = sim::ChannelKind::kNycMultipath;
-      else
-        usage_error("unknown channel: " + v);
-    } else if (arg == "--experiment") {
-      experiment = value();
-      if (experiment != "loss" && experiment != "cost")
-        usage_error("unknown experiment: " + experiment);
-    } else if (arg == "--trials") {
-      scenario.trials = parse_count(arg, value());
-      if (scenario.trials == 0) usage_error("trials must be positive");
-    } else if (arg == "--seed") {
-      scenario.seed = parse_count(arg, value());
-    } else if (arg == "--gamma-db") {
-      scenario.gamma = std::pow(10.0, parse_real(arg, value()) / 10.0);
-      if (!(scenario.gamma > 0.0 && std::isfinite(scenario.gamma)))
-        usage_error("--gamma-db is out of range");
-    } else if (arg == "--fades") {
-      scenario.fades_per_measurement = parse_count(arg, value());
-      if (scenario.fades_per_measurement == 0)
-        usage_error("fades must be positive");
-    } else if (arg == "--codebook") {
-      const std::string v = value();
-      if (v == "angular")
-        scenario.codebook = sim::CodebookKind::kAngularGrid;
-      else if (v == "dft")
-        scenario.codebook = sim::CodebookKind::kDft;
-      else
-        usage_error("unknown codebook: " + v);
-    } else if (arg == "--threads") {
-      scenario.threads = parse_count(arg, value());
-    } else if (arg == "--slot-j") {
-      proposed_opts.measurements_per_slot = parse_count(arg, value());
-      if (proposed_opts.measurements_per_slot < 2)
-        usage_error("--slot-j must be at least 2");
-    } else if (arg == "--rates") {
-      rates = parse_list(arg, value());
-      if (!std::is_sorted(rates.begin(), rates.end()) ||
-          !(rates.front() > 0.0 && rates.back() <= 1.0))
-        usage_error("--rates must be ascending, each in (0, 1]");
-    } else if (arg == "--targets") {
-      targets = parse_list(arg, value());
-      for (const real t : targets)
-        if (t < 0.0) usage_error("--targets must be non-negative dB");
-    } else if (arg == "--csv") {
-      csv = true;
-    } else if (arg == "--trace") {
-      trace_path = value();
-    } else if (arg == "--metrics") {
-      metrics_path = value();
-    } else {
-      usage_error("unknown argument: " + arg);
-    }
+  if (const char* v = args.value("--channel")) {
+    const std::string channel = v;
+    if (channel == "single")
+      scenario.channel = sim::ChannelKind::kSinglePath;
+    else if (channel == "nyc")
+      scenario.channel = sim::ChannelKind::kNycMultipath;
+    else
+      usage_error("unknown channel: " + channel);
   }
+  const char* experiment_flag = args.value("--experiment");
+  const std::string experiment =
+      experiment_flag == nullptr ? "loss" : experiment_flag;
+  if (experiment != "loss" && experiment != "cost")
+    usage_error("unknown experiment: " + experiment);
+  scenario.trials = args.u64("--trials", 20, 1);
+  scenario.seed = args.u64("--seed", 2016);
+  if (const char* v = args.value("--gamma-db")) {
+    scenario.gamma = std::pow(10.0, bench::parse_real("--gamma-db", v) / 10.0);
+    if (!(scenario.gamma > 0.0 && std::isfinite(scenario.gamma)))
+      usage_error("--gamma-db is out of range");
+  }
+  scenario.fades_per_measurement =
+      args.u64("--fades", scenario.fades_per_measurement, 1);
+  if (const char* v = args.value("--codebook")) {
+    const std::string codebook = v;
+    if (codebook == "angular")
+      scenario.codebook = sim::CodebookKind::kAngularGrid;
+    else if (codebook == "dft")
+      scenario.codebook = sim::CodebookKind::kDft;
+    else
+      usage_error("unknown codebook: " + codebook);
+  }
+  scenario.threads = args.u64("--threads", 0);
+  core::ProposedOptions proposed_opts;
+  proposed_opts.measurements_per_slot =
+      args.u64("--slot-j", proposed_opts.measurements_per_slot, 2);
+  const std::vector<real> rates =
+      args.numbers("--rates", {0.02, 0.05, 0.10, 0.20, 0.30});
+  if (!std::is_sorted(rates.begin(), rates.end()) ||
+      !(rates.front() > 0.0 && rates.back() <= 1.0))
+    usage_error("--rates must be ascending, each in (0, 1]");
+  const std::vector<real> targets =
+      args.numbers("--targets", {6.0, 4.0, 3.0, 2.0, 1.0});
+  for (const real t : targets)
+    if (t < 0.0) usage_error("--targets must be non-negative dB");
+  const bool csv = args.flag("--csv");
+  const char* trace_flag = args.value("--trace");
+  const char* metrics_flag = args.value("--metrics");
+  const std::string trace_path = trace_flag == nullptr ? "" : trace_flag;
+  const std::string metrics_path = metrics_flag == nullptr ? "" : metrics_flag;
+  args.reject_unknown();
 
+  obs::init_from_env();
   if (!trace_path.empty() || !metrics_path.empty()) obs::set_enabled(true);
   if (!trace_path.empty())
     obs::TraceCollector::global().set_capturing(true);

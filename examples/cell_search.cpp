@@ -8,11 +8,14 @@
 // rate estimate with the selected beams.
 //
 //   ./examples/cell_search [n_mobiles] [seed]
+//
+// n_mobiles is 1 to 1,000 (default 8), seed any 64-bit integer (default
+// 2016); any other command line exits with status 2.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "antenna/codebook.h"
+#include "args.h"
 #include "channel/models.h"
 #include "channel/pathloss.h"
 #include "core/oracle.h"
@@ -21,9 +24,11 @@
 
 int main(int argc, char** argv) {
   using namespace mmw;
-  const int n_mobiles = argc > 1 ? std::atoi(argv[1]) : 8;
-  const std::uint64_t seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2016;
+  bench::Args args(argc, argv);
+  const int n_mobiles =
+      static_cast<int>(args.positional_u64(0, "n_mobiles", 8, 1, 1'000));
+  const std::uint64_t seed = args.positional_u64(1, "seed", 2016);
+  args.reject_unknown();
   randgen::Rng rng(seed);
 
   const auto bs_array = antenna::ArrayGeometry::upa(8, 8);   // base station

@@ -7,11 +7,14 @@
 // choices for beam alignment.
 //
 //   ./examples/codebook_design
+//
+// It takes no arguments; any argument exits with status 2.
 #include <cmath>
 #include <cstdio>
 
 #include "antenna/codebook.h"
 #include "antenna/steering.h"
+#include "args.h"
 #include "randgen/rng.h"
 
 namespace {
@@ -31,7 +34,8 @@ real quantization_loss_db(const antenna::ArrayGeometry& array,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Args(argc, argv).reject_unknown();
   const auto array = antenna::ArrayGeometry::upa(8, 8);
   const real az_lim = M_PI / 3, el_lim = M_PI / 6;
   const auto angular = antenna::Codebook::angular_grid(

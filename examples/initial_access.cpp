@@ -12,12 +12,15 @@
 // mean number of sync slots to detection vs distance.
 //
 //   ./examples/initial_access [trials] [seed]
+//
+// trials is 1 to 1,000 (default 40), seed any 64-bit integer (default 77);
+// any other command line exits with status 2.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "antenna/codebook.h"
 #include "antenna/steering.h"
+#include "args.h"
 #include "channel/models.h"
 #include "channel/pathloss.h"
 
@@ -36,9 +39,11 @@ real slot_energy(const channel::Link& link, const linalg::Vector& u,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int trials = argc > 1 ? std::atoi(argv[1]) : 40;
-  const std::uint64_t seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 77;
+  bench::Args args(argc, argv);
+  const int trials =
+      static_cast<int>(args.positional_u64(0, "trials", 40, 1, 1'000));
+  const std::uint64_t seed = args.positional_u64(1, "seed", 77);
+  args.reject_unknown();
   randgen::Rng rng(seed);
 
   const auto bs = antenna::ArrayGeometry::upa(8, 8);

@@ -13,14 +13,17 @@
 // the epoch's best pair.
 //
 //   ./examples/mobility_tracking [epochs] [seed]
+//
+// epochs is 1 to 10,000 (default 40), seed any 64-bit integer (default 99);
+// any other command line exits with status 2.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
 #include "antenna/codebook.h"
+#include "args.h"
 #include "channel/models.h"
 #include "channel/temporal.h"
 #include "core/oracle.h"
@@ -29,10 +32,10 @@
 
 int main(int argc, char** argv) {
   using namespace mmw;
-  const index_t epochs =
-      argc > 1 ? static_cast<index_t>(std::atoi(argv[1])) : 40;
-  const std::uint64_t seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 99;
+  bench::Args args(argc, argv);
+  const index_t epochs = args.positional_u64(0, "epochs", 40, 1, 10'000);
+  const std::uint64_t seed = args.positional_u64(1, "seed", 99);
+  args.reject_unknown();
   randgen::Rng rng(seed);
 
   const auto tx_array = antenna::ArrayGeometry::upa(4, 4);

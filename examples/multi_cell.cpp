@@ -5,12 +5,15 @@
 // cellular deployment the paper targets (Fig. 1).
 //
 //   ./examples/multi_cell [n_cells] [seed]
+//
+// n_cells is 1 to 64 (default 4), seed any 64-bit integer (default 31); any
+// other command line exits with status 2.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "antenna/codebook.h"
+#include "args.h"
 #include "channel/models.h"
 #include "core/oracle.h"
 #include "core/strategy.h"
@@ -18,9 +21,11 @@
 
 int main(int argc, char** argv) {
   using namespace mmw;
-  const int n_cells = argc > 1 ? std::atoi(argv[1]) : 4;
-  const std::uint64_t seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 31;
+  bench::Args args(argc, argv);
+  const int n_cells =
+      static_cast<int>(args.positional_u64(0, "n_cells", 4, 1, 64));
+  const std::uint64_t seed = args.positional_u64(1, "seed", 31);
+  args.reject_unknown();
   randgen::Rng rng(seed);
 
   const auto bs = antenna::ArrayGeometry::upa(8, 8);

@@ -3,10 +3,13 @@
 // only 10% of the beam pairs, and compare against the true optimum.
 //
 //   ./examples/quickstart [seed]
+//
+// seed is any 64-bit integer (default 7); any other command line exits
+// with status 2.
 #include <cstdio>
-#include <cstdlib>
 
 #include "antenna/codebook.h"
+#include "args.h"
 #include "channel/models.h"
 #include "core/oracle.h"
 #include "core/strategy.h"
@@ -14,7 +17,9 @@
 
 int main(int argc, char** argv) {
   using namespace mmw;
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
+  bench::Args args(argc, argv);
+  const std::uint64_t seed = args.positional_u64(0, "seed", 7);
+  args.reject_unknown();
   randgen::Rng rng(seed);
 
   // 1. Arrays: the paper's setup — TX 4×4 λ/2 UPA, RX 8×8 λ/2 UPA.

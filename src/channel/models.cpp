@@ -28,13 +28,10 @@ Link make_single_path_link(const antenna::ArrayGeometry& tx,
 
 Link make_nyc_multipath_link(const antenna::ArrayGeometry& tx,
                              const antenna::ArrayGeometry& rx,
-                             randgen::Rng& rng,
-                             const NycClusterParams& params) {
-  MMW_REQUIRE(params.subpaths_per_cluster >= 1);
-  MMW_REQUIRE(params.lambda_clusters > 0.0);
-
-  const index_t k =
-      std::max<index_t>(1, static_cast<index_t>(rng.poisson(params.lambda_clusters)));
+                             randgen::Rng& rng, const AngularSector& s) {
+  constexpr NycClusterParams params;
+  const index_t k = std::max<index_t>(
+      1, static_cast<index_t>(rng.poisson(params.lambda_clusters)));
 
   // Unnormalized heavy-tailed cluster powers (Akdeniz eq. for γ'_k).
   std::vector<real> gamma(k);
@@ -46,7 +43,6 @@ Link make_nyc_multipath_link(const antenna::ArrayGeometry& tx,
     total += gamma[c];
   }
 
-  const AngularSector& s = params.sector;
   std::vector<Path> paths;
   paths.reserve(k * params.subpaths_per_cluster);
   for (index_t c = 0; c < k; ++c) {

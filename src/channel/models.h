@@ -23,7 +23,8 @@ Link make_single_path_link(const antenna::ArrayGeometry& tx,
                            randgen::Rng& rng,
                            const AngularSector& sector = {});
 
-/// Parameters of the cluster-based NYC statistical channel.
+/// Parameters of the cluster-based NYC statistical channel at the published
+/// fit; no figure varies them, so they are constants.
 ///
 /// The paper has no access to raw NYC traces and neither do we; both sample
 /// from the statistical model PUBLISHED in Akdeniz et al. 2014:
@@ -35,24 +36,26 @@ Link make_single_path_link(const antenna::ArrayGeometry& tx,
 ///  - cluster central angles uniform in the sector;
 ///  - subpath angle offsets: wrapped-Gaussian with per-side rms spreads.
 struct NycClusterParams {
-  real lambda_clusters = 1.8;     ///< E[#clusters] before the max(1,·)
-  index_t subpaths_per_cluster = 10;
-  real r_tau = 2.8;               ///< power-decay exponent
-  real zeta_db = 4.0;             ///< per-cluster shadowing (dB)
-  real aod_az_spread_rad = 10.2 * M_PI / 180.0;  ///< BS-side azimuth rms
-  real aod_el_spread_rad = 0.0;                  ///< BS-side elevation rms
-  real aoa_az_spread_rad = 15.5 * M_PI / 180.0;  ///< UE-side azimuth rms
-  real aoa_el_spread_rad = 6.0 * M_PI / 180.0;   ///< UE-side elevation rms
-  AngularSector sector;
+  static constexpr real lambda_clusters = 1.8;  ///< E[#clusters], pre-max
+  static constexpr index_t subpaths_per_cluster = 10;
+  static constexpr real r_tau = 2.8;    ///< power-decay exponent
+  static constexpr real zeta_db = 4.0;  ///< per-cluster shadowing (dB)
+  /// Per-side rms angular spreads: BS (AoD) and UE (AoA) azimuth and
+  /// elevation.
+  static constexpr real aod_az_spread_rad = 10.2 * M_PI / 180.0;
+  static constexpr real aod_el_spread_rad = 0.0;
+  static constexpr real aoa_az_spread_rad = 15.5 * M_PI / 180.0;
+  static constexpr real aoa_el_spread_rad = 6.0 * M_PI / 180.0;
 };
 
-/// Multipath NYC channel: cluster-structured link with total power 1.
+/// Multipath NYC channel: cluster-structured link with total power 1, its
+/// cluster centres drawn inside `sector`.
 /// The returned link's RX covariance is approximately low-rank (tests assert
 /// the dominant-cluster energy concentration reported in the literature).
 Link make_nyc_multipath_link(const antenna::ArrayGeometry& tx,
                              const antenna::ArrayGeometry& rx,
                              randgen::Rng& rng,
-                             const NycClusterParams& params = {});
+                             const AngularSector& sector = {});
 
 /// Deterministic k-path link with the given powers and angles; mainly for
 /// tests and controlled ablations (rank sweeps).

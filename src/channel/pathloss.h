@@ -40,12 +40,14 @@ real nyc_path_loss_db(const NycPathLossParams& params, LinkState state,
                       real distance_m, randgen::Rng& rng);
 
 /// Link-budget helper mapping a physical deployment onto the pre-beamforming
-/// SNR γ = Es/N0 used by the measurement model (paper eq. 15).
+/// SNR γ = Es/N0 used by the measurement model (paper eq. 15). The radio is
+/// fixed (the 28 GHz micro-cell of the examples); the path loss is the
+/// link's.
 struct LinkBudget {
-  real tx_power_dbm = 30.0;        ///< base-station transmit power
-  real bandwidth_hz = 1e9;         ///< system bandwidth
-  real noise_figure_db = 7.0;      ///< receiver noise figure
-  real path_loss_db = 100.0;       ///< realized path loss
+  static constexpr real tx_power_dbm = 30.0;    ///< base-station TX power
+  static constexpr real bandwidth_hz = 1e9;     ///< system bandwidth
+  static constexpr real noise_figure_db = 7.0;  ///< receiver noise figure
+  real path_loss_db = 100.0;                    ///< realized path loss
 
   /// Thermal noise floor: −174 dBm/Hz + 10·log10(BW) + NF.
   real noise_power_dbm() const;

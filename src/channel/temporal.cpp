@@ -11,9 +11,7 @@ real EvolutionConfig::shadow_correlation() const {
 }
 
 real EvolutionConfig::onset_probability() const {
-  const real p =
-      blockage_onset_per_epoch + blockage_onset_per_meter * meters_per_epoch();
-  return std::clamp(p, 0.0, 1.0);
+  return std::clamp(blockage_onset_per_meter * meters_per_epoch(), 0.0, 1.0);
 }
 
 LinkEvolution::LinkEvolution(antenna::ArrayGeometry tx,
@@ -34,8 +32,6 @@ LinkEvolution::LinkEvolution(antenna::ArrayGeometry tx,
   MMW_REQUIRE(config.shadow_sigma_db >= 0.0);
   MMW_REQUIRE(config.blockage_clear_probability >= 0.0 &&
               config.blockage_clear_probability <= 1.0);
-  MMW_REQUIRE(config.blockage_onset_per_epoch >= 0.0 &&
-              config.blockage_onset_per_epoch <= 1.0);
   MMW_REQUIRE(config.blockage_onset_per_meter >= 0.0);
   MMW_REQUIRE_MSG(config.blockage_gain > 0.0 && config.blockage_gain <= 1.0,
                   "blockage gain must be in (0, 1]");

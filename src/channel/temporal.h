@@ -41,12 +41,11 @@ struct EvolutionConfig {
   real shadow_coherence_m = 15.0;
 
   /// Blockage as a two-state Markov chain over epochs: an UNBLOCKED link
-  /// becomes blocked with probability onset_per_epoch + onset_per_meter·d
-  /// (clamped to [0, 1]); a BLOCKED link clears with clear_probability.
-  /// While blocked, the dominant path's mean power is scaled by
-  /// blockage_gain (partial shadowing — secondary paths survive, which is
-  /// what lets a tracker recover via an alternate beam).
-  real blockage_onset_per_epoch = 0.0;
+  /// becomes blocked with probability onset_per_meter·d (clamped to
+  /// [0, 1]); a BLOCKED link clears with clear_probability. While blocked,
+  /// the dominant path's mean power is scaled by blockage_gain (partial
+  /// shadowing — secondary paths survive, which is what lets a tracker
+  /// recover via an alternate beam).
   real blockage_onset_per_meter = 0.0;
   real blockage_clear_probability = 0.2;
   real blockage_gain = 0.02;

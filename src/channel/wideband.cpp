@@ -99,15 +99,12 @@ real WidebandLink::omni_rms_delay_spread_s() const {
 
 WidebandLink make_nyc_wideband_link(const antenna::ArrayGeometry& tx,
                                     const antenna::ArrayGeometry& rx,
-                                    randgen::Rng& rng,
-                                    const WidebandParams& params) {
-  MMW_REQUIRE(params.cluster_delay_scale_s > 0.0);
-  MMW_REQUIRE(params.intra_cluster_jitter_s >= 0.0);
-
-  Link link = make_nyc_multipath_link(tx, rx, rng, params.cluster);
+                                    randgen::Rng& rng) {
+  constexpr WidebandParams params;
+  Link link = make_nyc_multipath_link(tx, rx, rng);
   // Paths are cluster-major with a fixed subpath count per cluster (see
   // make_nyc_multipath_link), so cluster boundaries are recoverable.
-  const index_t per_cluster = params.cluster.subpaths_per_cluster;
+  const index_t per_cluster = NycClusterParams::subpaths_per_cluster;
   const index_t clusters = link.paths().size() / per_cluster;
 
   std::vector<real> cluster_delay(clusters);

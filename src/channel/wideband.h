@@ -59,14 +59,13 @@ class WidebandLink {
 /// a small intra-cluster jitter. Total power 1, delays sorted so the first
 /// cluster is the earliest.
 struct WidebandParams {
-  NycClusterParams cluster;
-  real cluster_delay_scale_s = 100e-9;  ///< mean excess delay between clusters
-  real intra_cluster_jitter_s = 5e-9;   ///< per-subpath delay spread
+  /// Mean excess delay between clusters.
+  static constexpr real cluster_delay_scale_s = 100e-9;
+  static constexpr real intra_cluster_jitter_s = 5e-9;  ///< per-subpath
 };
 
 WidebandLink make_nyc_wideband_link(const antenna::ArrayGeometry& tx,
                                     const antenna::ArrayGeometry& rx,
-                                    randgen::Rng& rng,
-                                    const WidebandParams& params = {});
+                                    randgen::Rng& rng);
 
 }  // namespace mmw::channel

@@ -8,17 +8,6 @@
 
 namespace mmw::linalg {
 
-real EigResult::energy_fraction(index_t k) const {
-  real total = 0.0;
-  real top = 0.0;
-  for (index_t i = 0; i < eigenvalues.size(); ++i) {
-    const real mag = std::abs(eigenvalues[i]);
-    total += mag;
-    if (i < k) top += mag;
-  }
-  return total > 0.0 ? top / total : 0.0;
-}
-
 SvdResult svd(const Matrix& a) {
   MMW_REQUIRE_MSG(!a.empty(), "svd of an empty matrix");
   // A wide A factors through its tall adjoint: Aᴴ = V Σ Uᴴ.

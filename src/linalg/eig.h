@@ -58,13 +58,6 @@ class EigWorkspace {
 struct EigResult {
   std::vector<real> eigenvalues;
   Matrix eigenvectors;
-
-  /// Unit eigenvector for the largest eigenvalue.
-  Vector principal_eigenvector() const { return eigenvectors.col(0); }
-
-  /// Fraction of total |λ| mass captured by the top-k eigenvalues; used to
-  /// quantify the low-rank concentration of channel covariance matrices.
-  real energy_fraction(index_t k) const;
 };
 
 /// Eigendecomposition of a Hermitian matrix: EigWorkspace::decompose on a

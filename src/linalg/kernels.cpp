@@ -7,9 +7,6 @@
 #include "linalg/kernels.h"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace mmw::linalg::kernels {
 
@@ -204,28 +201,9 @@ KernelTable make_table(Tier tier) {
   return {adjoint_gemm_scalar, gemm_scalar, inner_scalar, Tier::kScalar};
 }
 
+/// The best tier this CPU supports: AVX2 when CPUID reports it.
 KernelTable init_table() {
-  Tier want = cpu_supports_avx2() ? Tier::kAvx2 : Tier::kScalar;
-  if (const char* env = std::getenv("MMW_KERNELS")) {
-    if (std::strcmp(env, "scalar") == 0) {
-      want = Tier::kScalar;
-    } else if (std::strcmp(env, "avx2") == 0) {
-      if (cpu_supports_avx2()) {
-        want = Tier::kAvx2;
-      } else {
-        std::fprintf(stderr,
-                     "note: MMW_KERNELS=avx2 requested but this CPU/build "
-                     "has no AVX2 tier; using scalar kernels\n");
-        want = Tier::kScalar;
-      }
-    } else if (std::strcmp(env, "auto") != 0 && env[0] != '\0') {
-      std::fprintf(stderr,
-                   "note: unknown MMW_KERNELS value '%s' (expected scalar, "
-                   "avx2, or auto); using auto dispatch\n",
-                   env);
-    }
-  }
-  return make_table(want);
+  return make_table(cpu_supports_avx2() ? Tier::kAvx2 : Tier::kScalar);
 }
 
 KernelTable& table() {

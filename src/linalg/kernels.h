@@ -11,9 +11,9 @@
 // bit-identical (see "Numeric equivalence" below and DESIGN.md §12).
 //
 // Dispatch: the implementation tier (AVX2 or portable scalar) is decided
-// once, at first use, from CPUID plus the MMW_KERNELS environment override
-// (`scalar` | `avx2` | `auto`), and recorded in run manifests. There is no
-// per-call branching beyond one indirect call.
+// once, at first use, from CPUID alone, and recorded in run manifests. The
+// tiers are bit-identical, so nothing outside a test chooses between them.
+// There is no per-call branching beyond one indirect call.
 //
 // Numeric equivalence policy (test-enforced, tests/linalg/kernels_test.cpp):
 //  - scalar tier ≡ AVX2 tier, BIT-EXACT. Both tiers perform, per output
@@ -53,10 +53,8 @@ enum class Tier {
   kAvx2,    ///< 4-wide double AVX2 (x86-64), bit-identical to kScalar
 };
 
-/// The tier every kernel call routes through. Decided once at first use:
-/// the MMW_KERNELS environment variable (`scalar` | `avx2` | `auto`) wins;
-/// otherwise the best tier the CPU supports. Requesting `avx2` on a CPU
-/// without it falls back to scalar with a note on stderr.
+/// The tier every kernel call routes through: the best tier the CPU
+/// supports, decided once at first use.
 Tier active_tier();
 
 /// Stable lower-case name ("scalar", "avx2") — recorded in run manifests.
@@ -74,7 +72,7 @@ bool cpu_supports_avx2();
 void force_tier_for_testing(Tier tier);
 
 /// TEST/BENCH ONLY: undoes force_tier_for_testing by re-running the normal
-/// dispatch decision (MMW_KERNELS, then CPUID). Same thread-safety caveat.
+/// dispatch decision (CPUID). Same thread-safety caveat.
 void reset_tier_for_testing();
 
 // ---------------------------------------------------------------------------

@@ -162,9 +162,9 @@ Session::RealignmentReport Session::verify_and_realign() {
   // per-slot fault schedule (sized to the budget) never applies to them;
   // a blockage event, being a persistent large-scale state, still does.
   auto probe = [&](index_t tx_beam, index_t rx_beam) {
-    const index_t slot = budget_ + recovery_records_.size();
+    const index_t slot = budget_ + recovery_slots_;
     const real e = probe_energy(tx_beam, rx_beam, Policy::verify_fades, slot);
-    recovery_records_.push_back({tx_beam, rx_beam, e});
+    ++recovery_slots_;
     if (obs::enabled()) SessionMetrics::get().realign_slots.add();
     return e;
   };

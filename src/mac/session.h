@@ -153,12 +153,8 @@ class Session {
   /// with no measurements reports a default (no-outage) record.
   RealignmentReport verify_and_realign();
 
-  /// Recovery/verification probes taken by verify_and_realign, in order.
-  const std::vector<MeasurementRecord>& recovery_records() const {
-    return recovery_records_;
-  }
   /// Extra measurement slots spent on verification and recovery.
-  index_t recovery_slots() const { return recovery_records_.size(); }
+  index_t recovery_slots() const { return recovery_slots_; }
 
  private:
   /// Shared measurement chain of measure() and the recovery probes:
@@ -178,7 +174,7 @@ class Session {
   const channel::Link* degraded_link_ = nullptr;  ///< borrowed; may be null
   randgen::Rng* rng_;
   std::vector<MeasurementRecord> records_;
-  std::vector<MeasurementRecord> recovery_records_;
+  index_t recovery_slots_ = 0;
   std::vector<bool> measured_;  ///< tx_beam·|V| + rx_beam
   linalg::Vector fade_scratch_;  ///< reused per-fade effective channel H·u
 };

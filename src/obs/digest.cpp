@@ -17,6 +17,14 @@ struct CentroidLess {
   }
 };
 
+/// a + t·(b − a) for t in [0, 1] as the convex combination (1 − t)·a + t·b,
+/// whose terms never leave the double range, kept between a and b against
+/// rounding: the fallback for means near ±DBL_MAX, where the direct sums
+/// overflow.
+real lerp_wide(real a, real b, real t) {
+  return std::clamp(a * (1.0 - t) + b * t, std::min(a, b), std::max(a, b));
+}
+
 }  // namespace
 
 QuantileDigest::QuantileDigest(index_t compression)
@@ -87,7 +95,13 @@ void QuantileDigest::compress(const std::vector<Centroid>& merged) {
     if (cur.weight + next.weight <= limit) {
       cur.weight += next.weight;
       cur_sum += next.mean * static_cast<real>(next.weight);
-      cur.mean = cur_sum / static_cast<real>(cur.weight);
+      // Σ(mean·weight) leaves the double range only for means near
+      // ±DBL_MAX; then `next` is folded in by its weight share instead.
+      cur.mean = std::isfinite(cur_sum)
+                     ? cur_sum / static_cast<real>(cur.weight)
+                     : lerp_wide(cur.mean, next.mean,
+                                 static_cast<real>(next.weight) /
+                                     static_cast<real>(cur.weight));
     } else {
       centroids_.push_back(cur);
       cur = next;
@@ -144,7 +158,10 @@ real QuantileDigest::quantile(real q) {
       if (i == 0) return min_;
       const real span = mid - prev_mid;
       const real t = span > 0.0 ? (target - prev_mid) / span : 0.0;
-      const real v = prev_mean + t * (centroids_[i].mean - prev_mean);
+      const real step = centroids_[i].mean - prev_mean;
+      const real v = std::isfinite(step)
+                         ? prev_mean + t * step
+                         : lerp_wide(prev_mean, centroids_[i].mean, t);
       return std::clamp(v, min_, max_);
     }
     before += w;

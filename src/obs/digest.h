@@ -61,6 +61,9 @@ class QuantileDigest {
 
   real min_value() const { return count() == 0 ? 0.0 : min_; }
   real max_value() const { return count() == 0 ? 0.0 : max_; }
+  /// The running double sum of the samples. Unlike the quantiles it is not
+  /// overflow-safe: once the true sum leaves the double range (samples near
+  /// ±DBL_MAX) it reads ±∞, and a merge of a +∞ and a −∞ sum reads NaN.
   real sum() const { return sum_; }
 
   /// Clusters any buffered samples now (add() does this automatically when

@@ -1,7 +1,6 @@
 #include "obs/obs.h"
 
 #include <cstdlib>
-#include <optional>
 #include <string_view>
 
 #include "obs/flight.h"
@@ -15,22 +14,13 @@ std::uint64_t& tls_ordinal() {
   return ordinal;
 }
 
-std::optional<bool> env_switch(const char* name) {
-  if (const char* env = std::getenv(name)) {
-    const std::string_view v(env);
-    if (v == "off" || v == "0" || v == "false") return false;
-    if (v == "on" || v == "1" || v == "true") return true;
-  }
-  return std::nullopt;
-}
-
 }  // namespace
 
-bool init_from_env(bool default_on) {
-  const bool on = env_switch("MMW_OBS").value_or(default_on);
-  set_enabled(on);
-  FlightRecorder::global().set_armed(env_switch("MMW_FLIGHT").value_or(true));
-  return on;
+void init_from_env() {
+  const char* env = std::getenv("MMW_FLIGHT");
+  const std::string_view v = env == nullptr ? "" : env;
+  const bool disarmed = v == "off" || v == "0" || v == "false";
+  FlightRecorder::global().set_armed(!disarmed);
 }
 
 void set_thread_ordinal(std::uint64_t ordinal) { tls_ordinal() = ordinal; }

@@ -44,14 +44,11 @@ inline void set_enabled(bool on) {
   detail::enabled_flag().store(on, std::memory_order_relaxed);
 }
 
-/// Applies the MMW_OBS environment variable on top of `default_on`:
-/// "off"/"0"/"false" force-disables, "on"/"1"/"true" force-enables, unset
-/// or anything else keeps the default. Also applies MMW_FLIGHT with the
-/// same vocabulary to the flight recorder's armed flag (default: armed —
-/// the recorder is always on unless explicitly disarmed; see flight.h).
-/// Returns the resulting obs state. Binaries (benches, CLI) call this once
-/// at startup; the library itself never reads the environment.
-bool init_from_env(bool default_on);
+/// Applies the MMW_FLIGHT environment variable to the flight recorder's
+/// armed flag: "off"/"0"/"false" disarms it, anything else (or unset) keeps
+/// it armed, the default (see flight.h). Binaries (benches, CLI) call this
+/// once at startup; it is the library's only read of the environment.
+void init_from_env();
 
 /// Deterministic merge key for the calling thread's metric shards and trace
 /// buffers. The thread pool labels its workers 1..n (core::ThreadPool);

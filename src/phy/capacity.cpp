@@ -7,12 +7,6 @@
 namespace mmw::phy {
 
 using linalg::Matrix;
-using linalg::Vector;
-
-real awgn_capacity_bps_hz(real snr) {
-  MMW_REQUIRE_MSG(snr >= 0.0, "SNR must be non-negative");
-  return std::log2(1.0 + snr);
-}
 
 WaterfillingResult waterfilling_capacity(const Matrix& h, real total_power) {
   MMW_REQUIRE_MSG(!h.empty(), "empty channel matrix");
@@ -60,14 +54,6 @@ real equal_power_capacity(const Matrix& h, real total_power) {
   for (const real s : svd.singular_values)
     c += std::log2(1.0 + per_mode * s * s);
   return c;
-}
-
-real beamforming_capacity(const Matrix& h, const Vector& u, const Vector& v,
-                          real total_power) {
-  MMW_REQUIRE(u.size() == h.cols() && v.size() == h.rows());
-  MMW_REQUIRE_MSG(total_power > 0.0, "power must be positive");
-  const real gain = std::norm(linalg::dot(v, h * u));
-  return std::log2(1.0 + total_power * gain);
 }
 
 real optimal_beamforming_capacity(const Matrix& h, real total_power) {

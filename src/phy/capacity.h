@@ -11,9 +11,6 @@
 
 namespace mmw::phy {
 
-/// Scalar AWGN capacity log2(1 + snr), bit/s/Hz. Precondition: snr ≥ 0.
-real awgn_capacity_bps_hz(real snr);
-
 /// Waterfilling power allocation over the eigenmodes of H with unit noise:
 /// maximizes Σ log2(1 + p_i σ_i²) s.t. Σ p_i = total_power, p_i ≥ 0.
 struct WaterfillingResult {
@@ -29,11 +26,6 @@ WaterfillingResult waterfilling_capacity(const linalg::Matrix& h,
 /// Equal-power spatial multiplexing (no CSIT): C = Σ log2(1 + P/s·σ_i²)
 /// over the s = min(N,M) modes.
 real equal_power_capacity(const linalg::Matrix& h, real total_power);
-
-/// Rank-one analog beamforming rate with the pair (u, v):
-/// log2(1 + P·|vᴴ H u|²). Preconditions: shapes match, total_power > 0.
-real beamforming_capacity(const linalg::Matrix& h, const linalg::Vector& u,
-                          const linalg::Vector& v, real total_power);
 
 /// The best possible rank-one rate: log2(1 + P·σ_max²) (optimal
 /// unconstrained transmit/receive beamformers).

@@ -105,11 +105,6 @@ std::uint64_t Rng::poisson(real mean) {
   return std::poisson_distribution<std::uint64_t>(mean)(engine_);
 }
 
-real Rng::lognormal(real mu, real sigma) {
-  MMW_REQUIRE(sigma >= 0.0);
-  return std::lognormal_distribution<real>(mu, sigma)(engine_);
-}
-
 real Rng::angle() { return uniform(0.0, 2.0 * M_PI); }
 
 linalg::Vector Rng::complex_gaussian_vector(index_t n, real variance) {

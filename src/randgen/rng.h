@@ -134,9 +134,6 @@ class Rng {
   /// Poisson with the given mean.
   std::uint64_t poisson(real mean);
 
-  /// Lognormal: exp(N(mu, sigma²)).
-  real lognormal(real mu, real sigma);
-
   /// Uniform angle in [0, 2π).
   real angle();
 

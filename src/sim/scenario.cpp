@@ -34,9 +34,7 @@ channel::Link make_scenario_link(const Scenario& scenario,
       antenna::ArrayGeometry::upa(scenario.rx_grid_x, scenario.rx_grid_y);
   if (scenario.channel == ChannelKind::kSinglePath)
     return channel::make_single_path_link(tx, rx, rng, scenario.sector);
-  channel::NycClusterParams nyc = scenario.nyc;
-  nyc.sector = scenario.sector;
-  return channel::make_nyc_multipath_link(tx, rx, rng, nyc);
+  return channel::make_nyc_multipath_link(tx, rx, rng, scenario.sector);
 }
 
 TrialContext make_trial(const Scenario& scenario, randgen::Rng& rng) {

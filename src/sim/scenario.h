@@ -49,7 +49,6 @@ enum class CodebookKind {
 /// antenna element, so T = 16·64 = 1024 beam pairs.
 struct Scenario {
   ChannelKind channel = ChannelKind::kSinglePath;
-  channel::NycClusterParams nyc;  ///< used when channel == kNycMultipath
 
   /// Angular sector shared by the channel path generator and the angular
   /// codebooks.

@@ -28,7 +28,7 @@ EvolutionConfig walking_config() {
   c.epoch_seconds = 0.5;
   c.speed_mps = 1.4;
   c.shadow_sigma_db = 2.0;
-  c.blockage_onset_per_epoch = 0.1;
+  c.blockage_onset_per_meter = 0.15;  // ~0.1 per 0.7 m epoch
   c.blockage_clear_probability = 0.3;
   return c;
 }
@@ -125,7 +125,7 @@ TEST(LinkEvolutionTest, DistinctUsersEvolveIndependently) {
 
 TEST(LinkEvolutionTest, BlockageSuppressesOnlyDominantPath) {
   EvolutionConfig c = walking_config();
-  c.blockage_onset_per_epoch = 1.0;  // blocks at epoch 1 with certainty
+  c.blockage_onset_per_meter = 10.0;  // clamps to 1: blocks at epoch 1
   c.blockage_clear_probability = 0.0;
   c.shadow_sigma_db = 0.0;
   c.drift_rad_per_meter = 0.0;
@@ -144,7 +144,7 @@ TEST(LinkEvolutionTest, BlockageSuppressesOnlyDominantPath) {
 
 TEST(LinkEvolutionTest, BlockageClearsWithCertainClearProbability) {
   EvolutionConfig c = walking_config();
-  c.blockage_onset_per_epoch = 1.0;
+  c.blockage_onset_per_meter = 10.0;  // clamps to a certain onset
   c.blockage_clear_probability = 1.0;
   LinkEvolution evo = make_evolution(c);
   evo.seek(1);
@@ -159,7 +159,6 @@ TEST(LinkEvolutionTest, ZeroRatesFreezeTheLink) {
   EvolutionConfig c;
   c.drift_rad_per_meter = 0.0;
   c.shadow_sigma_db = 0.0;
-  c.blockage_onset_per_epoch = 0.0;
   c.blockage_onset_per_meter = 0.0;
   LinkEvolution evo = make_evolution(c);
   evo.seek(40);
@@ -171,7 +170,7 @@ TEST(LinkEvolutionTest, ZeroRatesFreezeTheLink) {
 TEST(LinkEvolutionTest, ShadowScalesMeanPowerInDb) {
   EvolutionConfig c = walking_config();
   c.drift_rad_per_meter = 0.0;
-  c.blockage_onset_per_epoch = 0.0;
+  c.blockage_onset_per_meter = 0.0;
   LinkEvolution evo = make_evolution(c);
   evo.seek(6);
   const Link link = evo.current();
@@ -187,7 +186,7 @@ TEST(LinkEvolutionTest, ShadowScalesMeanPowerInDb) {
 TEST(LinkEvolutionTest, DriftAddsToBaseAngles) {
   EvolutionConfig c = walking_config();
   c.shadow_sigma_db = 0.0;
-  c.blockage_onset_per_epoch = 0.0;
+  c.blockage_onset_per_meter = 0.0;
   LinkEvolution evo = make_evolution(c);
   evo.seek(11);
   const Link link = evo.current();
@@ -218,9 +217,10 @@ TEST(EvolutionConfigTest, DerivedQuantities) {
   EXPECT_DOUBLE_EQ(c.meters_per_epoch(), 0.7);
   EXPECT_DOUBLE_EQ(c.drift_std_rad(), 0.004 * 0.7);
   EXPECT_NEAR(c.shadow_correlation(), std::exp(-0.7 / 15.0), 1e-12);
-  // Onset clamps to [0, 1].
-  c.blockage_onset_per_epoch = 0.9;
-  c.blockage_onset_per_meter = 1.0;
+  // Onset is the per-meter hazard times the distance, clamped to [0, 1].
+  c.blockage_onset_per_meter = 0.5;
+  EXPECT_DOUBLE_EQ(c.onset_probability(), 0.35);
+  c.blockage_onset_per_meter = 2.0;
   EXPECT_DOUBLE_EQ(c.onset_probability(), 1.0);
 }
 

@@ -61,7 +61,7 @@ TEST(LinkTest, CovariancePrincipalEigenvectorIsRxSteering) {
   const Link link = one_path_link();
   const auto eig = linalg::hermitian_eig(link.rx_covariance());
   EXPECT_NEAR(
-      std::abs(linalg::dot(eig.principal_eigenvector(), link.rx_steering(0))),
+      std::abs(linalg::dot(eig.eigenvectors.col(0), link.rx_steering(0))),
       1.0, 1e-9);
 }
 

@@ -72,17 +72,14 @@ TEST(LinkStateTest, InvalidDistanceThrows) {
 }
 
 TEST(LinkBudgetTest, NoiseFloorFormula) {
-  LinkBudget b;
-  b.bandwidth_hz = 1e9;
-  b.noise_figure_db = 7.0;
+  // The fixed radio: 1 GHz of bandwidth and a 7 dB noise figure.
+  const LinkBudget b;
   EXPECT_NEAR(b.noise_power_dbm(), -174.0 + 90.0 + 7.0, 1e-9);
 }
 
 TEST(LinkBudgetTest, SnrChainsCorrectly) {
+  // 30 dBm into the fixed radio's -77 dBm noise floor.
   LinkBudget b;
-  b.tx_power_dbm = 30.0;
-  b.bandwidth_hz = 1e9;
-  b.noise_figure_db = 7.0;
   b.path_loss_db = 100.0;
   EXPECT_NEAR(b.snr_db(), 30.0 - 100.0 - (-77.0), 1e-9);
   EXPECT_NEAR(b.snr_linear(), std::pow(10.0, b.snr_db() / 10.0), 1e-9);

@@ -124,7 +124,7 @@ TEST(CovarianceMlTest, RecoversDominantEigenvectorRankOne) {
   const auto res = estimate_covariance_ml(n, ms, opts);
   const auto eig = res.q.eig();
   // Dominant eigenvector aligned with the planted direction.
-  EXPECT_GT(std::abs(linalg::dot(eig.principal_eigenvector(), x)), 0.85);
+  EXPECT_GT(std::abs(linalg::dot(eig.eigenvectors.col(0), x)), 0.85);
 }
 
 TEST(CovarianceMlTest, OperationalGainAtLargeDimension) {
@@ -145,7 +145,7 @@ TEST(CovarianceMlTest, OperationalGainAtLargeDimension) {
     opts.mu = 0.5;
     const auto res = estimate_covariance_ml(n, ms, opts);
     const auto eig = res.q.eig();
-    est_gain += linalg::hermitian_form(eig.principal_eigenvector(), q);
+    est_gain += linalg::hermitian_form(eig.eigenvectors.col(0), q);
     rand_gain += linalg::hermitian_form(rng.random_unit_vector(n), q);
   }
   EXPECT_GT(est_gain, 3.0 * rand_gain);
@@ -374,7 +374,7 @@ TEST(CovarianceEmTest, RecoversPlantedDirection) {
   opts.gamma = 100.0;
   const auto res = estimate_covariance_em(n, ms, opts);
   const auto eig = res.q.eig();
-  EXPECT_GT(std::abs(linalg::dot(eig.principal_eigenvector(), x)), 0.85);
+  EXPECT_GT(std::abs(linalg::dot(eig.eigenvectors.col(0), x)), 0.85);
 }
 
 TEST(SampleCovarianceTest, NoiseFloorSubtracted) {

@@ -63,7 +63,8 @@ class EvolutionProperty : public ::testing::TestWithParam<EvolutionCase> {
     cfg.epoch_seconds = 0.5;
     cfg.speed_mps = c.speed_mps;
     cfg.shadow_sigma_db = 1.5;
-    cfg.blockage_onset_per_epoch = c.onset;
+    // The case's per-epoch onset, as the per-meter hazard at its speed.
+    cfg.blockage_onset_per_meter = c.onset / cfg.meters_per_epoch();
     cfg.blockage_clear_probability = c.clear;
     return cfg;
   }
@@ -82,7 +83,7 @@ TEST_P(EvolutionProperty, DriftRmsScalesLinearlyWithSpeed) {
   // Same stream keys at both speeds → identical standard normals, so the
   // ratio is EXACT (the scaling is deterministic given the draws).
   EvolutionConfig cfg = config();
-  cfg.blockage_onset_per_epoch = 0.0;
+  cfg.blockage_onset_per_meter = 0.0;
   LinkEvolution evo = make(cfg);
   EvolutionConfig doubled = cfg;
   doubled.speed_mps = 2.0 * cfg.speed_mps;

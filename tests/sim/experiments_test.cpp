@@ -47,7 +47,7 @@ TEST(ScenarioTest, MultipathChannelOption) {
   sc.channel = ChannelKind::kNycMultipath;
   randgen::Rng rng(2);
   const TrialContext ctx = make_trial(sc, rng);
-  EXPECT_GE(ctx.link.paths().size(), sc.nyc.subpaths_per_cluster);
+  EXPECT_GE(ctx.link.paths().size(), channel::NycClusterParams::subpaths_per_cluster);
 }
 
 TEST(EffectivenessTest, ProducesSummariesForEveryRateAndStrategy) {

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "linalg/kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/experiments.h"
@@ -158,6 +159,31 @@ TEST(ParallelDeterminismTest, SolverMetricsIdenticalAcrossThreadCounts) {
   EXPECT_NE(serial.find("estimation.ml.solves="), std::string::npos);
   obs::Registry::global().reset();
   obs::set_enabled(was_enabled);
+}
+
+// The kernel tiers' bit-exactness contract (DESIGN.md §12) on a real
+// strategy run: a small fig5 sweep (the paper scenario, Random, Scan and
+// Proposed, one thread) renders the same CSV bytes under both tiers.
+class KernelTierDeterminismTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!linalg::kernels::cpu_supports_avx2())
+      GTEST_SKIP() << "CPU/build has no AVX2 tier to compare against";
+  }
+  void TearDown() override { linalg::kernels::reset_tier_for_testing(); }
+};
+
+TEST_F(KernelTierDeterminismTest, Fig5SweepCsvIdenticalAcrossTiers) {
+  Scenario sc;  // the paper's setup: M = 16, N = 64, T = 1024
+  sc.trials = 3;
+  sc.seed = 2016;
+  sc.threads = 1;
+  const std::vector<real> rates{0.02, 0.05, 0.08, 0.12, 0.16,
+                                0.20, 0.25, 0.30, 0.35};
+  linalg::kernels::force_tier_for_testing(linalg::kernels::Tier::kScalar);
+  const std::string scalar = effectiveness_csv(sc, rates);
+  linalg::kernels::force_tier_for_testing(linalg::kernels::Tier::kAvx2);
+  EXPECT_EQ(scalar, effectiveness_csv(sc, rates));
 }
 
 TEST(ParallelDeterminismTest, ExceptionInsideTrialPropagates) {
